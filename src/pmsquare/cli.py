@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hvmodels
 from .errors import InfeasibleModelError, InternalConsistencyError
-from .qm import apply, ket
+from .qm import ket
 from .realizations import build_realization, check_requirements
 from .reports import Report, render_json, render_text, validate_envelope
 from .square import (
@@ -27,12 +27,12 @@ from .square import (
     NAMED_STATES,
     build_square,
     commutation_relation,
-    context_cells,
     context_from_name,
     context_operator_product,
     eigentable,
     search_assignments,
     third_column_product_counts,
+    verify_eigentable,
 )
 
 #: Expected requirement verdicts per realization: (unique ok, simultaneity ok).
@@ -65,7 +65,10 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
     if not isinstance(document, dict):
         raise UsageError(f"state file {spec!r} must hold an object")
     if "name" in document:
-        return resolve_state(str(document["name"]), normalize=normalize)
+        name = str(document["name"])
+        if name != "chsh-max" and name not in NAMED_STATES:
+            raise UsageError(f"state file {spec!r}: {name!r} is not a known state name")
+        return resolve_state(name, normalize=normalize)
     if "amplitudes" not in document:
         raise UsageError(f"state file {spec!r} needs a 'name' or an 'amplitudes' field")
     pairs = document["amplitudes"]
@@ -119,26 +122,29 @@ def _fine_doc(fine: hvmodels.FineResult) -> dict[str, Any]:
     return doc
 
 
-def _context_witness_doc(witness: hvmodels.ContextWitness) -> dict[str, Any]:
-    return {
-        "context": witness.context.name,
-        "measurements": list(witness.measurement_ids),
-        "state_index": witness.state_index,
-        "outcomes": {mid: int(o) for mid, o in sorted(witness.outcomes.items())},
-        "triple": [int(v) for v in witness.triple],
-        "probability": float(witness.probability),
-    }
+def _witness_doc(witness: hvmodels.ContextWitness | hvmodels.CellWitness) -> dict[str, Any]:
+    if isinstance(witness, hvmodels.ContextWitness):
+        doc = {"context": witness.context.name, "triple": [int(v) for v in witness.triple]}
+    else:
+        doc = {"cell": list(witness.cell), "values": [int(v) for v in witness.values]}
+    doc.update(
+        measurements=list(witness.measurement_ids),
+        state_index=witness.state_index,
+        outcomes={mid: int(o) for mid, o in sorted(witness.outcomes.items())},
+        probability=float(witness.probability),
+    )
+    return doc
 
 
-def _cell_witness_doc(witness: hvmodels.CellWitness) -> dict[str, Any]:
-    return {
-        "cell": [witness.cell[0], witness.cell[1]],
-        "measurements": list(witness.measurement_ids),
-        "state_index": witness.state_index,
-        "outcomes": {mid: int(o) for mid, o in sorted(witness.outcomes.items())},
-        "values": [int(v) for v in witness.values],
-        "probability": float(witness.probability),
-    }
+def _capped_witness_docs(witnesses, group, cap: int) -> list[dict[str, Any]]:
+    """Witness documents, at most ``cap`` per group so that each group stays represented."""
+    kept: dict[Any, int] = {}
+    docs = []
+    for witness in witnesses:
+        kept[group(witness)] = kept.get(group(witness), 0) + 1
+        if kept[group(witness)] <= cap:
+            docs.append(_witness_doc(witness))
+    return docs
 
 
 def _statistics_doc(stats: hvmodels.StatisticsReport) -> dict[str, Any]:
@@ -174,29 +180,11 @@ def cmd_verify() -> Report:
             ],
         }
         tables_doc: dict[str, Any] = {}
-        eigenvector_checks = 0
         for context in CONTEXTS:
             table = eigentable(context)
-            ops = [square.operator(cell) for cell in context_cells(context)]
-            eigen_residual = 0.0
-            ortho_residual = 0.0
-            entries_doc = []
-            for i, entry in enumerate(table.entries):
-                for op, value in zip(ops, entry.values):
-                    eigen_residual = max(
-                        eigen_residual,
-                        float(np.max(np.abs(apply(op, entry.vector) - value * entry.vector))),
-                    )
-                for j, other in enumerate(table.entries):
-                    target = 1.0 if i == j else 0.0
-                    ortho_residual = max(
-                        ortho_residual,
-                        abs(abs(np.vdot(entry.vector, other.vector)) - target),
-                    )
-                entries_doc.append({"label": entry.label, "values": list(entry.values)})
-                eigenvector_checks += 1
+            eigen_residual, ortho_residual = verify_eigentable(table)
             tables_doc[context.name] = {
-                "entries": entries_doc,
+                "entries": [{"label": e.label, "values": list(e.values)} for e in table.entries],
                 "max_eigen_residual": eigen_residual,
                 "max_orthonormality_residual": ortho_residual,
             }
@@ -206,7 +194,7 @@ def cmd_verify() -> Report:
         }
         results["checks"] = {
             "commutation_pairs": len(pairs),
-            "eigenvector_checks": eigenvector_checks,
+            "eigenvector_checks": sum(len(eigentable(c).entries) for c in CONTEXTS),
             "product_signs": len(CONTEXTS),
         }
         passed = True
@@ -304,25 +292,14 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
     noncontextual = hvmodels.audit_noncontextuality(model, realization)
     witnesses = hvmodels.violation_witnesses(model, realization)
 
-    # cap the witness lists per context/cell so each group stays represented
-    context_docs: list[dict[str, Any]] = []
-    context_kept: dict[str, int] = {}
-    for witness in witnesses.context_witnesses:
-        kept = context_kept.get(witness.context.name, 0)
-        if kept < max_witnesses:
-            context_docs.append(_context_witness_doc(witness))
-            context_kept[witness.context.name] = kept + 1
-    cell_docs: list[dict[str, Any]] = []
-    cell_kept: dict[tuple[int, int], int] = {}
-    for witness in witnesses.cell_witnesses:
-        kept = cell_kept.get(witness.cell, 0)
-        if kept < max_witnesses:
-            cell_docs.append(_cell_witness_doc(witness))
-            cell_kept[witness.cell] = kept + 1
+    context_docs = _capped_witness_docs(
+        witnesses.context_witnesses, lambda w: w.context, max_witnesses
+    )
+    cell_docs = _capped_witness_docs(witnesses.cell_witnesses, lambda w: w.cell, max_witnesses)
     results: dict[str, Any] = {
         "realization": index,
-        "hidden_states": len(model.states),
-        "probability_sum": float(sum(s.probability for s in model.states)),
+        "hidden_states": len(model.probabilities),
+        "probability_sum": float(stats.probability_sum),
         "statistics": _statistics_doc(stats),
         "noncontextual": noncontextual,
         "witnesses": {
@@ -336,10 +313,9 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
             "cell_truncated": len(cell_docs) < len(witnesses.cell_witnesses),
         },
     }
-    if index in (2, 3):
-        fine = hvmodels.fine_joint(state)
-        results["fine"] = _fine_doc(fine)
-        results["ch"] = _ch_doc(fine.ch)
+    if model.fine is not None:
+        results["fine"] = _fine_doc(model.fine)
+        results["ch"] = _ch_doc(model.fine.ch)
     passed = (
         stats.passed and noncontextual and not witnesses.simultaneous_violations
     )
@@ -468,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sample":
             if args.shots <= 0:
                 raise UsageError("--shots must be positive")
+            if not 0 <= args.seed < 2**64:
+                raise UsageError("--seed must be in [0, 2**64)")
             report, infeasible = cmd_sample(
                 args.index, args.state, args.shots, args.seed, normalize=args.normalize
             )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .realizations import (
     build_realization,
     cell_classes,
     classes_compatible,
-    translate_outcomes_inverse,
+    consistent_pair_outcomes,
 )
 
 #: Hidden states with probability at or below this threshold are ignored
@@ -67,36 +67,6 @@ _AXIS_LABEL = {"z": "Z", "x": "X"}
 #: One-wing measurement ids in joint-key slot order.
 _SIDE_IDS = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
 
-_WING_PAIRS = (("Ll_z", "Lr_z"), ("Ll_z", "Lr_x"), ("Ll_x", "Lr_z"), ("Ll_x", "Lr_x"))
-
-
-@dataclass(frozen=True)
-class HiddenState:
-    outcomes: dict[str, int]
-    probability: float
-
-
-@dataclass(frozen=True)
-class HVModel:
-    realization_index: int
-    measurement_ids: tuple[str, ...]
-    states: tuple[HiddenState, ...]
-
-    def marginal(self, measurement_id: str) -> dict[int, float]:
-        """Model-induced outcome distribution of one physical measurement."""
-        dist: dict[int, float] = {}
-        for state in self.states:
-            outcome = state.outcomes[measurement_id]
-            dist[outcome] = dist.get(outcome, 0.0) + state.probability
-        return dist
-
-    def joint_marginal(self, id_a: str, id_b: str) -> dict[tuple[int, int], float]:
-        dist: dict[tuple[int, int], float] = {}
-        for state in self.states:
-            key = (state.outcomes[id_a], state.outcomes[id_b])
-            dist[key] = dist.get(key, 0.0) + state.probability
-        return dist
-
 
 @dataclass(frozen=True)
 class CHReport:
@@ -119,6 +89,64 @@ class FineResult:
     certificate: np.ndarray | None
     ch: CHReport
     system: feasibility.LinearSystem
+
+
+@dataclass(frozen=True)
+class HiddenState:
+    """One row of an ``HVModel`` table, as ``HVModel.states`` presents it."""
+
+    outcomes: dict[str, int]
+    probability: float
+
+
+@dataclass(frozen=True, eq=False)
+class HVModel:
+    """A hidden-variable model as a read-only outcome table and weight vector.
+
+    Hidden state s assigns ``outcomes[s, m]`` to ``measurement_ids[m]`` and
+    has weight ``probabilities[s]``; models 2/3 keep their joint-distribution
+    solve in ``fine``.
+    """
+
+    realization_index: int
+    measurement_ids: tuple[str, ...]
+    outcomes: np.ndarray  # int8[states, measurements]
+    probabilities: np.ndarray  # float64[states]
+    fine: FineResult | None = None
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("outcomes", np.int8), ("probabilities", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if self.outcomes.shape != (len(self.probabilities), len(self.measurement_ids)):
+            raise ValueError("the outcome table needs one row per weight, one column per id")
+
+    @cached_property
+    def states(self) -> tuple[HiddenState, ...]:
+        """The rows of the table as ``HiddenState`` objects, built on first use."""
+        return tuple(
+            HiddenState(dict(zip(self.measurement_ids, row)), probability)
+            for row, probability in zip(self.outcomes.tolist(), self.probabilities.tolist())
+        )
+
+    def column(self, measurement_id: str) -> np.ndarray:
+        """Every hidden state's outcome of one physical measurement."""
+        return self.outcomes[:, self.measurement_ids.index(measurement_id)]
+
+    def _tally(self, *measurement_ids: str) -> dict[tuple[int, ...], float]:
+        # bincount adds the weights in state order, as a loop over the states does
+        table = np.stack([self.column(mid) for mid in measurement_ids], axis=1)
+        keys, inverse = np.unique(table, axis=0, return_inverse=True)
+        totals = np.bincount(inverse.ravel(), weights=self.probabilities, minlength=len(keys))
+        return {tuple(key): float(p) for key, p in zip(keys.tolist(), totals)}
+
+    def marginal(self, measurement_id: str) -> dict[int, float]:
+        """Model-induced outcome distribution of one physical measurement."""
+        return {key[0]: p for key, p in self._tally(measurement_id).items()}
+
+    def joint_marginal(self, id_a: str, id_b: str) -> dict[tuple[int, int], float]:
+        return self._tally(id_a, id_b)
 
 
 def chsh_max_state() -> np.ndarray:
@@ -214,25 +242,18 @@ def fine_joint(state: np.ndarray) -> FineResult:
     return FineResult("infeasible", None, result.certificate, report, system)
 
 
+def _born_weights(state: np.ndarray, context: Context) -> np.ndarray:
+    """Born probabilities of the outcomes 1..4 of a context's eigenbasis measurement."""
+    return np.array([born_probability(state, e.vector) for e in eigentable(context).entries])
+
+
 def build_model1(state: np.ndarray) -> HVModel:
     """Product model over the outcomes of Lzz, Lxx and B (64 hidden states)."""
     state = ket(state)
-    weights = {
-        mid: [born_probability(state, entry.vector) for entry in eigentable(context).entries]
-        for mid, context in (
-            ("Lzz", Context("row", 0)),
-            ("Lxx", Context("row", 1)),
-            ("B", Context("row", 2)),
-        )
-    }
-    states = tuple(
-        HiddenState(
-            {"Lzz": i, "Lxx": j, "B": k},
-            weights["Lzz"][i - 1] * weights["Lxx"][j - 1] * weights["B"][k - 1],
-        )
-        for i, j, k in itertools.product((1, 2, 3, 4), repeat=3)
-    )
-    return HVModel(1, ("Lzz", "Lxx", "B"), states)
+    lzz, lxx, bell = (_born_weights(state, Context("row", i)) for i in range(3))
+    probabilities = np.multiply.outer(np.multiply.outer(lzz, lxx), bell).ravel()
+    outcomes = list(itertools.product((1, 2, 3, 4), repeat=3))
+    return HVModel(1, ("Lzz", "Lxx", "B"), outcomes, probabilities)
 
 
 def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
@@ -253,29 +274,20 @@ def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
             f"(CHSH max |S| = {fine.ch.max_abs:.6f} > 2); the construction is unavailable",
             fine_result=fine,
         )
-    bell_weights = {
-        mid: [born_probability(state, entry.vector) for entry in eigentable(context).entries]
-        for mid, context in (("B", Context("row", 2)), ("Bprime", Context("column", 2)))
-    }
-    states = []
-    for key in JOINT_KEYS:
-        base = fine.joint[key]
-        side = dict(zip(_SIDE_IDS, key))
-        for m, n in itertools.product((1, 2, 3, 4), repeat=2):
-            p = base * bell_weights["B"][m - 1] * bell_weights["Bprime"][n - 1]
-            if realization_index == 3:
-                outcomes = dict(side)
-            else:
-                outcomes = translate_outcomes_inverse(side)
-            outcomes["B"] = m
-            outcomes["Bprime"] = n
-            states.append(HiddenState(outcomes, p))
-    measurement_ids = (
-        ("Lzz", "Lxx", "Lzx", "Lxz", "B", "Bprime")
-        if realization_index == 2
-        else ("Ll_z", "Lr_z", "Ll_x", "Lr_x", "B", "Bprime")
-    )
-    return HVModel(realization_index, measurement_ids, tuple(states))
+    joint = np.array([fine.joint[key] for key in JOINT_KEYS])
+    probabilities = np.multiply.outer(
+        np.multiply.outer(joint, _born_weights(state, Context("row", 2))),
+        _born_weights(state, Context("column", 2)),
+    ).ravel()
+    # one row per joint key (consistent_pair_outcomes keeps their order),
+    # each repeated for the 16 (B, B') outcome pairs
+    wing_ids, wings = _SIDE_IDS, JOINT_KEYS
+    if realization_index == 2:
+        wing_ids = ("Lzz", "Lxx", "Lzx", "Lxz")
+        wings = [[pair[pid] for pid in wing_ids] for pair in consistent_pair_outcomes()]
+    bell = list(itertools.product((1, 2, 3, 4), repeat=2))
+    outcomes = np.hstack([np.repeat(wings, 16, axis=0), np.tile(bell, (16, 1))])
+    return HVModel(realization_index, wing_ids + ("B", "Bprime"), outcomes, probabilities, fine)
 
 
 # --- model verification -----------------------------------------------------
@@ -318,12 +330,14 @@ def reproduce_statistics(
     pair_deviations: dict[str, float] = {}
     if model.realization_index == 3:
         born_joints = quantum_pair_joints(state)
-        for (id_a, id_b), pair in zip(_WING_PAIRS, PAIR_AXES):
+        for pair in PAIR_AXES:
+            id_a, id_b = (_SIDE_IDS[slot] for slot in _PAIR_SLOTS[pair])
             joint = model.joint_marginal(id_a, id_b)
             pair_deviations[f"{id_a},{id_b}"] = max(
                 abs(joint.get(key, 0.0) - p) for key, p in born_joints[pair].items()
             )
-    probability_sum = float(sum(s.probability for s in model.states))
+    # a sequential sum, as np.sum's pairwise order would change the last bits
+    probability_sum = float(np.cumsum(model.probabilities)[-1])
     worst = max(
         [*deviations.values(), *pair_deviations.values(), abs(probability_sum - 1.0)]
     )
@@ -347,17 +361,13 @@ def audit_noncontextuality(model: HVModel, realization: Realization) -> bool:
     """
     if model.realization_index != realization.index:
         return False
-    physical_ids = set(realization.physicals)
-    if set(model.measurement_ids) != physical_ids:
+    if sorted(model.measurement_ids) != sorted(realization.physicals):
         return False
-    for state in model.states:
-        if set(state.outcomes) != physical_ids:
+    if np.any(model.probabilities < -POSITIVE_PROBABILITY):
+        return False
+    for mid in model.measurement_ids:
+        if not np.isin(model.column(mid), realization.physicals[mid].outcomes).all():
             return False
-        if state.probability < -POSITIVE_PROBABILITY:
-            return False
-        for mid, outcome in state.outcomes.items():
-            if outcome not in realization.physicals[mid].outcomes:
-                return False
     for derived in realization.derived.values():
         parent = realization.physicals.get(derived.parent)
         if parent is None or set(derived.outcome_map) != set(parent.outcomes):
@@ -366,22 +376,22 @@ def audit_noncontextuality(model: HVModel, realization: Realization) -> bool:
 
 
 def _class_response(
-    realization: Realization, cls: tuple[str, ...], outcomes: Mapping[str, int]
-) -> int:
-    """Response of an identification class in a hidden state.
+    model: HVModel, realization: Realization, cls: tuple[str, ...], states: np.ndarray
+) -> np.ndarray:
+    """Response of an identification class in each of the given hidden states.
 
     All members must agree (identified measurements read the same wing),
     so a disagreement is a construction bug.
     """
-    values = set()
+    responses = []
     for did in cls:
         derived = realization.derived[did]
-        values.add(derived.outcome_map[outcomes[derived.parent]])
-    if len(values) != 1:
-        raise InternalConsistencyError(
-            f"identified measurements {cls} disagree in a hidden state"
-        )
-    return values.pop()
+        lookup = np.zeros(6, dtype=np.int8)  # indexed by parent outcome + 1, over -1..4
+        lookup[[o + 1 for o in derived.outcome_map]] = list(derived.outcome_map.values())
+        responses.append(lookup[model.column(derived.parent)[states] + 1])
+    if any(np.any(response != responses[0]) for response in responses[1:]):
+        raise InternalConsistencyError(f"identified measurements {cls} disagree in a hidden state")
+    return responses[0]
 
 
 @dataclass(frozen=True)
@@ -428,19 +438,22 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
     """
     if model.realization_index != realization.index:
         raise ValueError("model and realization indices do not match")
-    positive = [
-        (index, state)
-        for index, state in enumerate(model.states)
-        if state.probability > POSITIVE_PROBABILITY
-    ]
+    positive = np.flatnonzero(model.probabilities > POSITIVE_PROBABILITY)
+    ids = model.measurement_ids
+    rows = model.outcomes[positive].tolist()
+    weights = model.probabilities[positive].tolist()
+    responses = {
+        cls: _class_response(model, realization, cls, positive)
+        for cell in realization.cell_map
+        for cls in cell_classes(realization, cell)
+    }
 
     context_witnesses: list[ContextWitness] = []
     simultaneous_violations: list[ContextWitness] = []
     simultaneous_choices = 0
     for context in CONTEXTS:
-        cells = context_cells(context)
-        admissible = admissible_triples(context)
-        class_options = [cell_classes(realization, cell) for cell in cells]
+        admissible = np.array(sorted(admissible_triples(context)))
+        class_options = [cell_classes(realization, cell) for cell in context_cells(context)]
         for choice in itertools.product(*class_options):
             simultaneous = all(
                 classes_compatible(realization, a, b)
@@ -449,15 +462,12 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
             if simultaneous:
                 simultaneous_choices += 1
             representatives = tuple(cls[0] for cls in choice)
-            for index, state in positive:
-                triple = tuple(
-                    _class_response(realization, cls, state.outcomes) for cls in choice
-                )
-                if triple in admissible:
-                    continue
+            triples = np.stack([responses[cls] for cls in choice], axis=1)
+            inadmissible = ~(triples[:, None, :] == admissible).all(axis=2).any(axis=1)
+            for i in np.flatnonzero(inadmissible):
                 witness = ContextWitness(
-                    context, representatives, index, dict(state.outcomes), triple,
-                    state.probability,
+                    context, representatives, int(positive[i]), dict(zip(ids, rows[i])),
+                    tuple(triples[i].tolist()), weights[i],
                 )
                 if simultaneous:
                     simultaneous_violations.append(witness)
@@ -466,18 +476,15 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
 
     cell_witnesses: list[CellWitness] = []
     for cell in sorted(realization.cell_map):
-        classes = cell_classes(realization, cell)
-        for cls_a, cls_b in itertools.combinations(classes, 2):
-            for index, state in positive:
-                value_a = _class_response(realization, cls_a, state.outcomes)
-                value_b = _class_response(realization, cls_b, state.outcomes)
-                if value_a != value_b:
-                    cell_witnesses.append(
-                        CellWitness(
-                            cell, (cls_a[0], cls_b[0]), index, dict(state.outcomes),
-                            (value_a, value_b), state.probability,
-                        )
+        for cls_a, cls_b in itertools.combinations(cell_classes(realization, cell), 2):
+            values_a, values_b = responses[cls_a], responses[cls_b]
+            for i in np.flatnonzero(values_a != values_b):
+                cell_witnesses.append(
+                    CellWitness(
+                        cell, (cls_a[0], cls_b[0]), int(positive[i]), dict(zip(ids, rows[i])),
+                        (int(values_a[i]), int(values_b[i])), weights[i],
                     )
+                )
 
     return WitnessReport(
         tuple(context_witnesses),
@@ -519,22 +526,21 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
         raise ValueError(f"shots must be positive, got {shots!r}")
     state = ket(state)
     realization = build_realization(model.realization_index)
-    probabilities = np.array([max(s.probability, 0.0) for s in model.states])
+    probabilities = np.maximum(model.probabilities, 0.0)
     cumulative = np.cumsum(probabilities / probabilities.sum())
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     draws = rng.random(shots)
-    indices = np.minimum(
-        np.searchsorted(cumulative, draws, side="right"), len(probabilities) - 1
-    )
+    indices = np.searchsorted(cumulative, draws, side="right")
+    np.minimum(indices, len(probabilities) - 1, out=indices)
+    state_counts = np.bincount(indices, minlength=len(probabilities))
 
     tv_bound = 5.0 / math.sqrt(shots)
     measurements: dict[str, MeasurementSample] = {}
     for mid in model.measurement_ids:
-        outcome_by_state = np.array([s.outcomes[mid] for s in model.states])
-        sampled = outcome_by_state[indices]
+        column = model.column(mid)
         born = realization.physicals[mid].born_distribution(state)
         counts = {
-            outcome: int(np.count_nonzero(sampled == outcome))
+            outcome: int(state_counts[column == outcome].sum())
             for outcome in realization.physicals[mid].outcomes
         }
         frequencies = {outcome: count / shots for outcome, count in counts.items()}

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -102,9 +103,9 @@ class DerivedMeasurement:
 @dataclass(frozen=True)
 class Realization:
     index: int
-    physicals: dict[str, PhysicalMeasurement]
-    derived: dict[str, DerivedMeasurement]
-    cell_map: dict[Cell, tuple[str, ...]]
+    physicals: Mapping[str, PhysicalMeasurement]
+    derived: Mapping[str, DerivedMeasurement]
+    cell_map: Mapping[Cell, tuple[str, ...]]
     identifications: tuple[frozenset[str], ...]
 
 
@@ -152,19 +153,14 @@ def _side_measurement(meas_id: str) -> PhysicalMeasurement:
     return measurement
 
 
-def _pair_derived(function: str, meas_id: str) -> DerivedMeasurement:
-    """l/r/t of a pair polarization measurement, read off its eigentable."""
+def _table_derived(function: str, meas_id: str) -> DerivedMeasurement:
+    """l/r/t of a pair polarization or f/g/h (fp/gp/hp) of a Bell measurement."""
     table = eigentable(_MEASUREMENT_CONTEXTS[meas_id])
-    left_pos, right_pos = _L_SIDE_POS[meas_id]
-    pos = {"l": left_pos, "r": right_pos, "t": 2}[function]
-    outcome_map = {o: table.entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
-    return DerivedMeasurement(f"{function}({meas_id})", meas_id, outcome_map)
-
-
-def _bell_derived(function: str, meas_id: str) -> DerivedMeasurement:
-    """f/g/h (or the primed versions) of a Bell measurement."""
-    table = eigentable(_MEASUREMENT_CONTEXTS[meas_id])
-    pos = _BELL_FUNCTIONS[meas_id].index(function)
+    if meas_id in _BELL_FUNCTIONS:
+        pos = _BELL_FUNCTIONS[meas_id].index(function)
+    else:
+        left_pos, right_pos = _L_SIDE_POS[meas_id]
+        pos = {"l": left_pos, "r": right_pos, "t": 2}[function]
     outcome_map = {o: table.entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
     return DerivedMeasurement(f"{function}({meas_id})", meas_id, outcome_map)
 
@@ -180,8 +176,8 @@ def build_realization(index: int) -> Realization:
     if index == 1:
         physicals = {mid: _four_outcome_measurement(mid) for mid in ("Lzz", "Lxx", "B")}
         derived_list = [
-            _pair_derived(fn, mid) for mid in ("Lzz", "Lxx") for fn in ("l", "r", "t")
-        ] + [_bell_derived(fn, "B") for fn in ("f", "g", "h")]
+            _table_derived(fn, mid) for mid in ("Lzz", "Lxx") for fn in ("l", "r", "t")
+        ] + [_table_derived(fn, "B") for fn in ("f", "g", "h")]
         cell_map = {
             (0, 0): ("l(Lzz)",),
             (0, 1): ("r(Lzz)",),
@@ -200,12 +196,12 @@ def build_realization(index: int) -> Realization:
             for mid in ("Lzz", "Lxx", "Lzx", "Lxz", "B", "Bprime")
         }
         derived_list = [
-            _pair_derived(fn, mid)
+            _table_derived(fn, mid)
             for mid in ("Lzz", "Lxx", "Lzx", "Lxz")
             for fn in ("l", "r", "t")
         ]
-        derived_list += [_bell_derived(fn, "B") for fn in ("f", "g", "h")]
-        derived_list += [_bell_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
+        derived_list += [_table_derived(fn, "B") for fn in ("f", "g", "h")]
+        derived_list += [_table_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
         cell_map = {
             (0, 0): ("l(Lzz)", "l(Lzx)"),
             (0, 1): ("r(Lzz)", "r(Lxz)"),
@@ -230,8 +226,8 @@ def build_realization(index: int) -> Realization:
         physicals["B"] = _four_outcome_measurement("B")
         physicals["Bprime"] = _four_outcome_measurement("Bprime")
         derived_list = [_side_derived(mid) for mid in _SIDE_OUTCOME_IDS]
-        derived_list += [_bell_derived(fn, "B") for fn in ("f", "g", "h")]
-        derived_list += [_bell_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
+        derived_list += [_table_derived(fn, "B") for fn in ("f", "g", "h")]
+        derived_list += [_table_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
         cell_map = {
             (0, 0): ("Ll_z",),
             (0, 1): ("Lr_z",),
@@ -255,6 +251,7 @@ def build_realization(index: int) -> Realization:
     for d in derived.values():
         if d.parent not in physicals:
             raise InternalConsistencyError(f"{d.id} references unknown parent {d.parent!r}")
+    physicals, derived, cell_map = map(MappingProxyType, (physicals, derived, cell_map))
     return Realization(index, physicals, derived, cell_map, identifications)
 
 
@@ -431,7 +428,11 @@ def translate_outcomes_inverse(side_outcomes: Mapping[str, int]) -> dict[str, in
 
 
 def consistent_pair_outcomes() -> list[dict[str, int]]:
-    """The 16 consistent pair-outcome tuples, one per one-wing value tuple."""
+    """The 16 consistent pair-outcome tuples, one per one-wing value tuple.
+
+    They follow ``itertools.product((1, -1), repeat=4)`` over the wing
+    values (Ll_z, Lr_z, Ll_x, Lr_x).
+    """
     tuples = []
     for values in itertools.product((1, -1), repeat=4):
         side = dict(zip(_SIDE_OUTCOME_IDS, values))

@@ -153,9 +153,12 @@ _TABLE_STATES: dict[Context, tuple[tuple[str, np.ndarray], ...]] = {
 }
 
 #: Every table state by label; doubles as the CLI's named-state catalogue.
+#: The eigentables share these vectors, so they are made read-only.
 NAMED_STATES: dict[str, np.ndarray] = {
     label: vector for entries in _TABLE_STATES.values() for label, vector in entries
 }
+for _vector in NAMED_STATES.values():
+    _vector.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -176,10 +179,11 @@ def expected_context_sign(context: Context) -> int:
     return -1 if context == Context("column", 2) else +1
 
 
-def verify_eigentable(table: EigenTable) -> None:
+def verify_eigentable(table: EigenTable) -> tuple[float, float]:
     """Check orthonormality, the eigen relations, and the value products.
 
-    Raises InternalConsistencyError on any failure; a failure means the
+    Returns the largest eigen and orthonormality residuals.  Raises
+    InternalConsistencyError on any failure; a failure means the
     transcribed table data does not match the operators.
     """
     square = build_square()
@@ -187,27 +191,31 @@ def verify_eigentable(table: EigenTable) -> None:
     sign = expected_context_sign(table.context)
     if len(table.entries) != 4:
         raise InternalConsistencyError(f"{table.context.name}: expected 4 entries")
+    eigen_residual = ortho_residual = 0.0
     for i, entry in enumerate(table.entries):
         for j, other in enumerate(table.entries):
             overlap = inner(entry.vector, other.vector)
-            target = 1.0 if i == j else 0.0
-            if abs(overlap - target) > VERIFY_ATOL:
+            residual = abs(overlap - (1.0 if i == j else 0.0))
+            if residual > VERIFY_ATOL:
                 raise InternalConsistencyError(
                     f"{table.context.name}: entries {entry.label}/{other.label} "
                     f"not orthonormal (overlap {overlap!r})"
                 )
+            ortho_residual = max(ortho_residual, residual)
         if int(np.prod(entry.values)) != sign:
             raise InternalConsistencyError(
                 f"{table.context.name}: {entry.label} values {entry.values} "
                 f"do not multiply to {sign:+d}"
             )
         for op, value in zip(ops, entry.values):
-            residual = np.max(np.abs(apply(op, entry.vector) - value * entry.vector))
+            residual = float(np.max(np.abs(apply(op, entry.vector) - value * entry.vector)))
             if residual > VERIFY_ATOL:
                 raise InternalConsistencyError(
                     f"{table.context.name}: {entry.label} is not a {value:+d} "
                     f"eigenvector (residual {residual:.3e})"
                 )
+            eigen_residual = max(eigen_residual, residual)
+    return eigen_residual, ortho_residual
 
 
 @lru_cache(maxsize=None)

@@ -197,6 +197,24 @@ def test_sample_rejects_nonpositive_shots(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sample_rejects_out_of_range_seed(capsys, seed):
+    code = main(["sample", "1", "--state", "psi1", "--shots", "10", "--seed", seed])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("pmsquare: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_sample_accepts_seed_range_ends(capsys, seed):
+    code, document = run_json(
+        capsys, "sample", "1", "--state", "psi1", "--shots", "10", "--seed", str(seed)
+    )
+    assert code == 0
+    assert document["results"]["seed"] == seed
+
+
 # --- state resolution -------------------------------------------------------------------
 
 
@@ -214,6 +232,18 @@ def test_state_file_with_name(tmp_path, capsys):
     code, document = run_json(capsys, "ch", "--state", str(path))
     assert code == 0
     assert document["inputs"]["state"] == {"name": "phiPP4"}
+
+
+def test_state_file_name_may_not_point_to_a_file(tmp_path, capsys):
+    itself = tmp_path / "itself.json"
+    itself.write_text(json.dumps({"name": str(itself)}), encoding="utf-8")
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"name": str(tmp_path / "psi1.json")}), encoding="utf-8")
+    (tmp_path / "psi1.json").write_text('{"name": "psi1"}', encoding="utf-8")
+    for path in (itself, other):
+        assert main(["ch", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmsquare: ") and "not a known state name" in err
 
 
 def test_state_file_with_amplitudes(tmp_path, capsys):

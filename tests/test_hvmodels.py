@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,11 +20,10 @@ from pmsquare.hvmodels import (
     sample_model,
     violation_witnesses,
     HVModel,
-    HiddenState,
 )
 from pmsquare.qm import apply, pauli_tensor
-from pmsquare.realizations import build_realization
-from pmsquare.square import NAMED_STATES
+from pmsquare.realizations import build_realization, cell_classes, translate_outcomes_inverse
+from pmsquare.square import CONTEXTS, NAMED_STATES, admissible_triples, context_cells
 
 from conftest import random_states
 
@@ -273,18 +273,107 @@ def test_audit_rejects_corrupted_layouts():
     realization = build_realization(1)
     model = build_model1(PSI1)
     assert not audit_noncontextuality(model, build_realization(2))
-    missing = HVModel(1, ("Lzz", "Lxx"), model.states)
+    missing = HVModel(1, ("Lzz", "Lxx"), model.outcomes[:, :2], model.probabilities)
     assert not audit_noncontextuality(missing, realization)
-    bad_outcome = HVModel(
-        1, model.measurement_ids,
-        (HiddenState({"Lzz": 9, "Lxx": 1, "B": 1}, 1.0),),
-    )
+    bad_outcome = HVModel(1, model.measurement_ids, [[9, 1, 1]], [1.0])
     assert not audit_noncontextuality(bad_outcome, realization)
-    negative = HVModel(
-        1, model.measurement_ids,
-        (HiddenState({"Lzz": 1, "Lxx": 1, "B": 1}, -0.5),),
-    )
+    negative = HVModel(1, model.measurement_ids, [[1, 1, 1]], [-0.5])
     assert not audit_noncontextuality(negative, realization)
+
+
+def test_model_table_is_read_only_and_shape_checked():
+    model = build_model1(PSI1)
+    with pytest.raises(ValueError):
+        model.outcomes[0, 0] = 2
+    with pytest.raises(ValueError):
+        model.probabilities[0] = 0.5
+    with pytest.raises(ValueError):
+        HVModel(1, model.measurement_ids, model.outcomes, model.probabilities[:-1])
+
+
+def _loop_tally(model, *ids):
+    dist = {}
+    for state in model.states:
+        key = tuple(state.outcomes[mid] for mid in ids)
+        dist[key] = dist.get(key, 0.0) + state.probability
+    return dist
+
+
+def _models_for(state):
+    models = [build_model1(state)]
+    if not ch_report(state).violated:
+        models += [build_model23(state, 2), build_model23(state, 3)]
+    return models
+
+
+def test_states_view_and_marginals_match_a_per_state_loop():
+    # the loop the array code replaced is the reference; both add the
+    # weights in state order, so the sums agree exactly
+    for state in [PSI1, *random_states(5, seed=43)]:
+        for model in _models_for(state):
+            assert [list(s.outcomes.values()) for s in model.states] == model.outcomes.tolist()
+            assert [s.probability for s in model.states] == model.probabilities.tolist()
+            ids = model.measurement_ids
+            for mid in ids:
+                assert model.marginal(mid) == {k[0]: p for k, p in _loop_tally(model, mid).items()}
+            assert model.joint_marginal(ids[0], ids[-1]) == _loop_tally(model, ids[0], ids[-1])
+            stats = reproduce_statistics(model, state)
+            assert stats.probability_sum == sum(s.probability for s in model.states)
+
+
+def test_witness_scan_matches_a_per_state_loop():
+    for state in [PSI1, *random_states(3, seed=47)]:
+        for model in _models_for(state):
+            realization = build_realization(model.realization_index)
+            report = violation_witnesses(model, realization)
+            positive = [(i, s) for i, s in enumerate(model.states) if s.probability > 1e-12]
+
+            def respond(cls, outcomes):
+                derived = realization.derived[cls[0]]
+                return derived.outcome_map[outcomes[derived.parent]]
+
+            expected_context = []
+            for context in CONTEXTS:
+                options = [cell_classes(realization, cell) for cell in context_cells(context)]
+                for choice in itertools.product(*options):
+                    for i, s in positive:
+                        triple = tuple(respond(cls, s.outcomes) for cls in choice)
+                        if triple not in admissible_triples(context):
+                            names = tuple(cls[0] for cls in choice)
+                            expected_context.append((context, names, i, triple, s.probability))
+            found = report.context_witnesses + report.simultaneous_violations
+            assert sorted(
+                (w.context, w.measurement_ids, w.state_index, w.triple, w.probability)
+                for w in found
+            ) == sorted(expected_context)
+            assert all(w.outcomes == model.states[w.state_index].outcomes for w in found)
+
+            expected_cell = []
+            for cell in sorted(realization.cell_map):
+                for a, b in itertools.combinations(cell_classes(realization, cell), 2):
+                    for i, s in positive:
+                        values = (respond(a, s.outcomes), respond(b, s.outcomes))
+                        if values[0] != values[1]:
+                            expected_cell.append((cell, (a[0], b[0]), i, values, s.probability))
+            assert [
+                (w.cell, w.measurement_ids, w.state_index, w.values, w.probability)
+                for w in report.cell_witnesses
+            ] == expected_cell
+
+
+def test_model2_is_model3_with_translated_wings():
+    state = random_states(1, seed=12345)[0]
+    model2, model3 = build_model23(state, 2), build_model23(state, 3)
+    wing_ids = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
+    pair_ids = ("Lzz", "Lxx", "Lzx", "Lxz")
+    assert model3.measurement_ids == wing_ids + ("B", "Bprime")
+    assert model2.measurement_ids == pair_ids + ("B", "Bprime")
+    assert model2.probabilities.tobytes() == model3.probabilities.tobytes()
+    assert model2.fine.joint == model3.fine.joint
+    for row2, row3 in zip(model2.outcomes.tolist(), model3.outcomes.tolist()):
+        pairs = translate_outcomes_inverse(dict(zip(wing_ids, row3[:4])))
+        assert row2[:4] == [pairs[pid] for pid in pair_ids]
+        assert row2[4:] == row3[4:]
 
 
 def test_witnesses_model1_psi1():

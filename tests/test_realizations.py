@@ -32,6 +32,14 @@ def test_realization1_cell_map():
     assert r.identifications == ()
 
 
+@pytest.mark.parametrize("field", ["physicals", "derived", "cell_map"])
+def test_realization_mappings_are_read_only(field):
+    mapping = getattr(build_realization(2), field)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = None
+
+
 def test_realization2_cell_map_and_identifications():
     r = build_realization(2)
     assert r.cell_map[(0, 2)] == ("t(Lzz)", "fp(Bprime)")

@@ -7,6 +7,7 @@ from pmsquare.errors import InternalConsistencyError
 from pmsquare.square import (
     CELLS,
     CONTEXTS,
+    NAMED_STATES,
     Assignment,
     Context,
     EigenTable,
@@ -137,6 +138,17 @@ def test_verify_eigentable_rejects_corrupt_values():
     )
     with pytest.raises(InternalConsistencyError):
         verify_eigentable(corrupt)
+
+
+def test_eigentable_vectors_are_read_only():
+    entry = eigentable(Context("row", 2)).entries[0]
+    with pytest.raises(ValueError):
+        entry.vector[0] = 0.0
+
+
+def test_named_state_vectors_are_read_only():
+    with pytest.raises(ValueError):
+        NAMED_STATES["psi1"][1] = 1.0
 
 
 # --- context operator products -------------------------------------------------
