@@ -141,8 +141,9 @@ def _capped_witness_docs(witnesses, group, cap: int) -> list[dict[str, Any]]:
     kept: dict[Any, int] = {}
     docs = []
     for witness in witnesses:
-        kept[group(witness)] = kept.get(group(witness), 0) + 1
-        if kept[group(witness)] <= cap:
+        key = group(witness)
+        kept[key] = kept.get(key, 0) + 1
+        if kept[key] <= cap:
             docs.append(_witness_doc(witness))
     return docs
 

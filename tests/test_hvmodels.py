@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pmsquare.errors import InfeasibleModelError
+from pmsquare.errors import InfeasibleModelError, InternalConsistencyError
 from pmsquare.hvmodels import (
     JOINT_KEYS,
     PAIR_AXES,
@@ -425,6 +425,16 @@ def test_witnesses_simultaneous_contexts_are_clean_across_states():
             report = violation_witnesses(model, build_realization(index))
             assert report.simultaneous_violations == ()
             assert report.simultaneous_choices_checked > 0
+
+
+def test_witnesses_reject_disagreeing_identified_readouts():
+    # Lzz = 1 reads the left-z wing as +1, Lzx = 3 reads it as -1
+    model = HVModel(2, ("Lzz", "Lxx", "Lzx", "Lxz", "B", "Bprime"), [[1, 1, 3, 1, 1, 1]], [1.0])
+    realization = build_realization(2)
+    assert realization.derived["l(Lzz)"].outcome_map[1] == 1
+    assert realization.derived["l(Lzx)"].outcome_map[3] == -1
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        violation_witnesses(model, realization)
 
 
 def test_witnesses_require_matching_indices():
