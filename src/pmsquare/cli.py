@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def _ch_doc(report: hvmodels.CHReport) -> dict[str, Any]:
     }
 
 
-def _joint_doc(joint: dict[tuple[int, int, int, int], float]) -> dict[str, float]:
+def _joint_doc(joint: Mapping[tuple[int, int, int, int], float]) -> dict[str, float]:
     return {",".join(f"{v:+d}" for v in key): float(p) for key, p in joint.items()}
 
 
@@ -457,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"pmsquare: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"pmsquare: internal consistency error: {exc}", file=sys.stderr)
+        return 1
 
     if args.strict:
         validate_envelope(report.to_document())

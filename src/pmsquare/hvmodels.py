@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,6 +69,14 @@ _AXIS_LABEL = {"z": "Z", "x": "X"}
 #: One-wing measurement ids in joint-key slot order.
 _SIDE_IDS = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
 
+#: Number G of guide-table buckets for sampling.  A power of two, so
+#: ``u * G``, its floor and ``k / G`` are exact in floating point and
+#: bucket k holds exactly the draws in [k/G, (k+1)/G).
+_GUIDE_BUCKETS = 4096
+
+#: Philox variates drawn and tallied per step of ``sample_model``.
+_SAMPLE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CHReport:
@@ -85,7 +95,7 @@ class CHReport:
 @dataclass(frozen=True)
 class FineResult:
     status: str  # "feasible" | "infeasible"
-    joint: dict[tuple[int, int, int, int], float] | None
+    joint: Mapping[tuple[int, int, int, int], float] | None
     certificate: np.ndarray | None
     ch: CHReport
     system: feasibility.LinearSystem
@@ -238,7 +248,8 @@ def fine_joint(state: np.ndarray) -> FineResult:
     report = ch_report(state)
     if result.status == "feasible":
         joint = {key: float(p) for key, p in zip(JOINT_KEYS, result.point)}
-        return FineResult("feasible", joint, None, report, system)
+        return FineResult("feasible", MappingProxyType(joint), None, report, system)
+    result.certificate.setflags(write=False)
     return FineResult("infeasible", None, result.certificate, report, system)
 
 
@@ -514,13 +525,42 @@ class SampleReport:
     passed: bool
 
 
+def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Count draws in [0, 1) per state of the CDF ``cumulative``.
+
+    The counts equal ``np.bincount(np.minimum(np.searchsorted(cumulative,
+    draws, side="right"), n - 1), minlength=n)`` over all draws of all
+    chunks.  They are found through a guide table (Chen & Asau 1974;
+    Devroye 1986, section III.2.4): every state index of a draw in bucket
+    ``floor(u * G)`` lies between the indices of the bucket's two edges,
+    so only draws in buckets that straddle a CDF edge are searched, and
+    the rest are tallied per bucket.
+    """
+    n = len(cumulative)
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    bounds = np.minimum(np.searchsorted(cumulative, edges, side="right"), n - 1)
+    lo, straddles = bounds[:-1], bounds[:-1] != bounds[1:]
+    bucket_counts = np.zeros(_GUIDE_BUCKETS, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for draws in chunks:
+        buckets = (draws * _GUIDE_BUCKETS).astype(np.intp)
+        bucket_counts += np.bincount(buckets, minlength=_GUIDE_BUCKETS)
+        searched = np.searchsorted(cumulative, draws[straddles[buckets]], side="right")
+        counts += np.bincount(np.minimum(searched, n - 1), minlength=n)
+    np.add.at(counts, lo[~straddles], bucket_counts[~straddles])
+    return counts
+
+
 def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> SampleReport:
     """Draw hidden states i.i.d. and tally every physical measurement.
 
     Randomness comes from NumPy's Philox counter-based generator keyed by
     ``seed``; the s-th variate of that stream decides shot s, so runs are
     reproducible across platforms and shardable by counter offset.  The
-    pass flag checks every total-variation distance against 5/sqrt(shots).
+    variates are streamed in fixed-size chunks and mapped to hidden states
+    by an exact guide-table lookup on the cumulative weights, so memory per
+    call is O(chunk + states) for any ``shots``.  The pass flag checks
+    every total-variation distance against 5/sqrt(shots).
     """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots!r}")
@@ -529,10 +569,10 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     probabilities = np.maximum(model.probabilities, 0.0)
     cumulative = np.cumsum(probabilities / probabilities.sum())
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    draws = rng.random(shots)
-    indices = np.searchsorted(cumulative, draws, side="right")
-    np.minimum(indices, len(probabilities) - 1, out=indices)
-    state_counts = np.bincount(indices, minlength=len(probabilities))
+    chunk = _SAMPLE_CHUNK
+    state_counts = _tally(
+        cumulative, (rng.random(min(chunk, shots - start)) for start in range(0, shots, chunk))
+    )
 
     tv_bound = 5.0 / math.sqrt(shots)
     measurements: dict[str, MeasurementSample] = {}

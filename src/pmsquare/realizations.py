@@ -86,6 +86,10 @@ class PhysicalMeasurement:
     outcomes: tuple[int, ...]
     projectors: tuple[np.ndarray, ...]
 
+    def __post_init__(self) -> None:
+        for proj in self.projectors:
+            proj.setflags(write=False)
+
     def born_distribution(self, state: np.ndarray) -> dict[int, float]:
         return {
             outcome: expectation(state, proj)
@@ -97,7 +101,7 @@ class PhysicalMeasurement:
 class DerivedMeasurement:
     id: str
     parent: str
-    outcome_map: dict[int, int]
+    outcome_map: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -162,12 +166,12 @@ def _table_derived(function: str, meas_id: str) -> DerivedMeasurement:
         left_pos, right_pos = _L_SIDE_POS[meas_id]
         pos = {"l": left_pos, "r": right_pos, "t": 2}[function]
     outcome_map = {o: table.entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
-    return DerivedMeasurement(f"{function}({meas_id})", meas_id, outcome_map)
+    return DerivedMeasurement(f"{function}({meas_id})", meas_id, MappingProxyType(outcome_map))
 
 
 def _side_derived(meas_id: str) -> DerivedMeasurement:
     # a one-wing measurement is its own +/-1 readout
-    return DerivedMeasurement(meas_id, meas_id, {1: 1, -1: -1})
+    return DerivedMeasurement(meas_id, meas_id, MappingProxyType({1: 1, -1: -1}))
 
 
 @lru_cache(maxsize=None)

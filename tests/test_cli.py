@@ -218,6 +218,22 @@ def test_sample_accepts_seed_range_ends(capsys, seed):
 # --- state resolution -------------------------------------------------------------------
 
 
+def test_internal_consistency_error_is_one_line_not_a_traceback(monkeypatch, capsys):
+    from pmsquare import hvmodels
+    from pmsquare.errors import InternalConsistencyError
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("identified readouts disagree")
+
+    monkeypatch.setattr(hvmodels, "violation_witnesses", broken)
+    code = main(["model", "2", "--state", "psi1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "pmsquare: internal consistency error: identified readouts disagree\n"
+    assert "Traceback" not in captured.err
+
+
 def test_resolve_named_states():
     state, echo = resolve_state("psi2")
     assert echo == {"name": "psi2"}

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pmsquare import hvmodels
 from pmsquare.errors import InfeasibleModelError, InternalConsistencyError
 from pmsquare.hvmodels import (
+    _GUIDE_BUCKETS,
+    _tally,
     JOINT_KEYS,
     PAIR_AXES,
     audit_noncontextuality,
@@ -155,6 +160,60 @@ def test_fine_feasibility_matches_chsh_bound():
         assert (result.status == "feasible") == (report.max_abs <= 2.0)
         checked += 1
     assert checked >= 250
+
+
+def _boundary_crossing(lo, hi):
+    """The t in [lo, hi] where |S| crosses 2 on cos t * chsh-max + sin t * psi1."""
+
+    def excess(t):
+        return ch_report(_boundary_point(t)).max_abs - 2.0
+
+    rising = excess(lo) < 0.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if (excess(mid) < 0.0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _boundary_point(t):
+    v = math.cos(t) * chsh_max_state() + math.sin(t) * PSI1
+    return v / np.linalg.norm(v)
+
+
+def test_fine_feasibility_matches_chsh_bound_at_the_boundary():
+    # Fine's equivalence in the |S| = 2 band the corpus test skips: 400
+    # points at |S| - 2 = +-1e-8 .. +-9e-4 around both crossings of the path.
+    # Closer than ~1e-9 the LP refuses states that the 1e-9 CHSH slack
+    # still counts as unviolated, so the band stops at 1e-8.
+    offsets = np.geomspace(1e-8, 9e-4, 100)
+    offsets = np.concatenate([-offsets, offsets])
+    statuses = []
+    for bracket in ((1.0, 1.02), (2.65, 2.67)):
+        crossing = _boundary_crossing(*bracket)
+        slope = (
+            ch_report(_boundary_point(crossing + 1e-6)).max_abs
+            - ch_report(_boundary_point(crossing - 1e-6)).max_abs
+        ) / 2e-6
+        for offset in offsets:
+            state = _boundary_point(crossing + offset / slope)
+            report = ch_report(state)
+            assert abs(report.max_abs - 2.0) <= 1e-3
+            result = fine_joint(state)
+            assert (result.status == "feasible") == (report.max_abs <= 2.0 + 1e-9)
+            statuses.append(result.status)
+    assert statuses.count("feasible") == statuses.count("infeasible") == 200
+
+
+def test_fine_results_are_read_only():
+    feasible = fine_joint(PSI1)
+    with pytest.raises(TypeError):
+        feasible.joint[JOINT_KEYS[0]] = 1.0
+    infeasible = fine_joint(chsh_max_state())
+    with pytest.raises(ValueError):
+        infeasible.certificate[0] = 0.0
 
 
 # --- model 1 -----------------------------------------------------------------
@@ -466,6 +525,89 @@ def test_sampling_left_wing_pinned_on_psi1():
     model = build_model23(PSI1, 3)
     report = sample_model(model, PSI1, 100_000, seed=1)
     assert report.measurements["Ll_z"].frequencies[1] == 1.0
+
+
+def _reference_tally(cumulative, draws):
+    n = len(cumulative)
+    return np.bincount(
+        np.minimum(np.searchsorted(cumulative, draws, side="right"), n - 1), minlength=n
+    )
+
+
+_BUCKET_EDGES = st.integers(0, _GUIDE_BUCKETS).map(lambda k: k / _GUIDE_BUCKETS)
+#: Values on and one ulp either side of the guide-table bucket edges k/G.
+_NEAR_EDGES = st.one_of(
+    _BUCKET_EDGES,
+    st.tuples(_BUCKET_EDGES, st.sampled_from((-1.0, 2.0))).map(lambda p: float(np.nextafter(*p))),
+)
+
+
+@st.composite
+def _cdf_and_draws(draw):
+    edges = draw(st.lists(st.one_of(st.floats(0.0, 1.0), _NEAR_EDGES), min_size=1, max_size=40))
+    # repeated edges are runs of zero-weight states
+    runs = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    top = draw(st.sampled_from((1.0, float(np.nextafter(1.0, 0.0)), 1.0 - 1e-12, 0.75)))
+    cumulative = np.append(np.sort(np.clip(np.repeat(edges, runs), 0.0, top)), top)
+    below_one = float(np.nextafter(1.0, 0.0))
+    draws = draw(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0, exclude_max=True), _NEAR_EDGES).map(
+                lambda u: min(max(u, 0.0), below_one)
+            ),
+            min_size=0,
+            max_size=200,
+        )
+    )
+    return cumulative, np.array(draws, dtype=float)
+
+
+@given(_cdf_and_draws(), st.integers(1, 50))
+@example(
+    # cumulative[-1] below 1 inside a bucket that straddles another edge:
+    # draws above it belong to the last state
+    case=(
+        np.array([0.5, 1.0 - 2.0**-20, 1.0 - 2.0**-30]),
+        np.array([0.5, np.nextafter(0.5, 0.0), 1.0 - 2.0**-25, 1.0 - 2.0**-31, np.nextafter(1.0, 0.0)]),
+    ),
+    chunk=2,
+)
+@settings(max_examples=200, deadline=None)
+def test_property_guide_tally_matches_searchsorted(case, chunk):
+    cumulative, draws = case
+    chunks = [draws[i : i + chunk] for i in range(0, len(draws), chunk)]
+    assert np.array_equal(_tally(cumulative, chunks), _reference_tally(cumulative, draws))
+
+
+def test_guide_tally_matches_searchsorted_on_model_weights():
+    for state in random_states(6, seed=31):
+        for model in _models_for(state):
+            probabilities = np.maximum(model.probabilities, 0.0)
+            cumulative = np.cumsum(probabilities / probabilities.sum())
+            draws = np.random.Generator(np.random.Philox(key=np.uint64(5))).random(20_000)
+            assert np.array_equal(
+                _tally(cumulative, [draws]), _reference_tally(cumulative, draws)
+            )
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 10_000])
+def test_sampling_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # shot s uses variate s of the Philox stream whatever the chunking, so
+    # the counts equal a one-shot searchsorted over all the draws
+    monkeypatch.setattr(hvmodels, "_SAMPLE_CHUNK", chunk)
+    shots, seed = 1_000, 11
+    state = random_states(1, seed=77)[0]
+    for model in _models_for(state):
+        report = sample_model(model, state, shots, seed)
+        probabilities = np.maximum(model.probabilities, 0.0)
+        cumulative = np.cumsum(probabilities / probabilities.sum())
+        draws = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(shots)
+        state_counts = _reference_tally(cumulative, draws)
+        for mid, sample in report.measurements.items():
+            column = model.column(mid)
+            assert sample.counts == {
+                outcome: int(state_counts[column == outcome].sum()) for outcome in sample.counts
+            }
 
 
 def test_sampling_rejects_bad_shots():

@@ -40,6 +40,21 @@ def test_realization_mappings_are_read_only(field):
         mapping[key] = None
 
 
+def test_derived_outcome_maps_are_read_only():
+    derived = build_realization(2).derived["l(Lzz)"]
+    with pytest.raises(TypeError):
+        derived.outcome_map[1] = -1
+    assert derived.outcome_map[1] == 1
+
+
+def test_physical_projectors_are_read_only():
+    for index in (1, 2, 3):
+        for measurement in build_realization(index).physicals.values():
+            for p in measurement.projectors:
+                with pytest.raises(ValueError):
+                    p[0, 0] = 0.0
+
+
 def test_realization2_cell_map_and_identifications():
     r = build_realization(2)
     assert r.cell_map[(0, 2)] == ("t(Lzz)", "fp(Bprime)")
