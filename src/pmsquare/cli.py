@@ -10,6 +10,7 @@ infeasible for the given state.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -52,15 +53,16 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
         return hvmodels.chsh_max_state(), {"name": spec}
     if spec in NAMED_STATES:
         return NAMED_STATES[spec].copy(), {"name": spec}
-    path = Path(spec)
-    if not path.exists():
+    try:
+        document = json.loads(Path(spec).read_text(encoding="utf-8"))
+    except FileNotFoundError:
         raise UsageError(
             f"{spec!r} is neither a known state name nor an existing file; "
             f"known names: chsh-max, {', '.join(sorted(NAMED_STATES))}"
-        )
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        ) from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid UTF-8, invalid JSON and a NUL in the path;
+        # RecursionError a document nested too deeply to decode
         raise UsageError(f"cannot read state file {spec!r}: {exc}") from None
     if not isinstance(document, dict):
         raise UsageError(f"state file {spec!r} must hold an object")
@@ -76,7 +78,7 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
         raise UsageError("'amplitudes' must list four [re, im] pairs")
     try:
         components = [complex(float(re), float(im)) for re, im in pairs]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad amplitude entry: {exc}") from None
     try:
         state = ket(components, normalize=normalize)
@@ -134,18 +136,6 @@ def _witness_doc(witness: hvmodels.ContextWitness | hvmodels.CellWitness) -> dic
         probability=float(witness.probability),
     )
     return doc
-
-
-def _capped_witness_docs(witnesses, group, cap: int) -> list[dict[str, Any]]:
-    """Witness documents, at most ``cap`` per group so that each group stays represented."""
-    kept: dict[Any, int] = {}
-    docs = []
-    for witness in witnesses:
-        key = group(witness)
-        kept[key] = kept.get(key, 0) + 1
-        if kept[key] <= cap:
-            docs.append(_witness_doc(witness))
-    return docs
 
 
 def _statistics_doc(stats: hvmodels.StatisticsReport) -> dict[str, Any]:
@@ -293,10 +283,9 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
     noncontextual = hvmodels.audit_noncontextuality(model, realization)
     witnesses = hvmodels.violation_witnesses(model, realization)
 
-    context_docs = _capped_witness_docs(
-        witnesses.context_witnesses, lambda w: w.context, max_witnesses
-    )
-    cell_docs = _capped_witness_docs(witnesses.cell_witnesses, lambda w: w.cell, max_witnesses)
+    # at most max_witnesses per context and per cell, so that each stays represented
+    context_docs = [_witness_doc(w) for w in witnesses.first_context_witnesses(max_witnesses)]
+    cell_docs = [_witness_doc(w) for w in witnesses.first_cell_witnesses(max_witnesses)]
     results: dict[str, Any] = {
         "realization": index,
         "hidden_states": len(model.probabilities),
@@ -304,22 +293,20 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
         "statistics": _statistics_doc(stats),
         "noncontextual": noncontextual,
         "witnesses": {
-            "context_count": len(witnesses.context_witnesses),
-            "cell_count": len(witnesses.cell_witnesses),
-            "simultaneous_violation_count": len(witnesses.simultaneous_violations),
+            "context_count": witnesses.context_count,
+            "cell_count": witnesses.cell_count,
+            "simultaneous_violation_count": witnesses.simultaneous_violation_count,
             "simultaneous_choices_checked": witnesses.simultaneous_choices_checked,
             "context": context_docs,
-            "context_truncated": len(context_docs) < len(witnesses.context_witnesses),
+            "context_truncated": len(context_docs) < witnesses.context_count,
             "cell": cell_docs,
-            "cell_truncated": len(cell_docs) < len(witnesses.cell_witnesses),
+            "cell_truncated": len(cell_docs) < witnesses.cell_count,
         },
     }
     if model.fine is not None:
         results["fine"] = _fine_doc(model.fine)
         results["ch"] = _ch_doc(model.fine.ch)
-    passed = (
-        stats.passed and noncontextual and not witnesses.simultaneous_violations
-    )
+    passed = stats.passed and noncontextual and not witnesses.simultaneous_violation_count
     return Report("model", inputs, results, passed), False
 
 
@@ -361,7 +348,9 @@ def cmd_ch(state_spec: str, *, normalize: bool) -> Report:
 # --- argument parsing -----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="pmsquare",
         description=(

@@ -31,7 +31,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -200,20 +200,28 @@ def ch_report(state: np.ndarray) -> CHReport:
     return CHReport(correlators, chsh_values, max_abs, violated=max_abs > 2.0 + 1e-9)
 
 
+@lru_cache(maxsize=None)
+def _pair_projector(pair: tuple[str, str], a: int, b: int) -> np.ndarray:
+    """The read-only product of the left projector on outcome a and the right one on b."""
+    left_axis, right_axis = pair
+    proj = side_projector(_AXIS_LABEL[left_axis], a, "left") @ side_projector(
+        _AXIS_LABEL[right_axis], b, "right"
+    )
+    proj.setflags(write=False)
+    return proj
+
+
 def quantum_pair_joints(
     state: np.ndarray,
 ) -> dict[tuple[str, str], dict[tuple[int, int], float]]:
     """Born joints of the four measurable one-wing polarization pairs."""
-    joints: dict[tuple[str, str], dict[tuple[int, int], float]] = {}
-    for left_axis, right_axis in PAIR_AXES:
-        dist = {}
-        for a, b in itertools.product(_SIGNS, repeat=2):
-            proj = side_projector(_AXIS_LABEL[left_axis], a, "left") @ side_projector(
-                _AXIS_LABEL[right_axis], b, "right"
-            )
-            dist[(a, b)] = expectation(state, proj)
-        joints[(left_axis, right_axis)] = dist
-    return joints
+    return {
+        pair: {
+            (a, b): expectation(state, _pair_projector(pair, a, b))
+            for a, b in itertools.product(_SIGNS, repeat=2)
+        }
+        for pair in PAIR_AXES
+    }
 
 
 def fine_system(state: np.ndarray) -> feasibility.LinearSystem:
@@ -429,12 +437,89 @@ class CellWitness:
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class WitnessBlock:
+    """The hidden states one scan step flags, as read-only row indices and values.
+
+    ``group`` is the context or cell, ``measurement_ids`` the realizer
+    representatives, and ``values`` the triple (context) or the two
+    disagreeing realizer values (cell) of each state in ``states``.
+    """
+
+    group: Context | tuple[int, int]
+    measurement_ids: tuple[str, ...]
+    states: np.ndarray  # int64 rows of the model table
+    values: np.ndarray  # int8[states, 3] or int8[states, 2]
+
+    def __post_init__(self) -> None:
+        for array in (self.states, self.values):
+            array.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
 class WitnessReport:
-    context_witnesses: tuple[ContextWitness, ...]
-    cell_witnesses: tuple[CellWitness, ...]
-    simultaneous_violations: tuple[ContextWitness, ...]
+    """The witness scan's findings, stored as index blocks over the model table.
+
+    The witness tuples are built on first access; the counts and the
+    ``first_*`` accessors read the blocks alone, so a caller that prints a
+    few witnesses pays only for those.
+    """
+
+    model: HVModel
+    context_blocks: tuple[WitnessBlock, ...]
+    cell_blocks: tuple[WitnessBlock, ...]
+    simultaneous_blocks: tuple[WitnessBlock, ...]
     simultaneous_choices_checked: int
+
+    @property
+    def context_count(self) -> int:
+        return sum(len(block.states) for block in self.context_blocks)
+
+    @property
+    def cell_count(self) -> int:
+        return sum(len(block.states) for block in self.cell_blocks)
+
+    @property
+    def simultaneous_violation_count(self) -> int:
+        return sum(len(block.states) for block in self.simultaneous_blocks)
+
+    @cached_property
+    def context_witnesses(self) -> tuple[ContextWitness, ...]:
+        return self._witnesses(ContextWitness, self.context_blocks)
+
+    @cached_property
+    def cell_witnesses(self) -> tuple[CellWitness, ...]:
+        return self._witnesses(CellWitness, self.cell_blocks)
+
+    @cached_property
+    def simultaneous_violations(self) -> tuple[ContextWitness, ...]:
+        return self._witnesses(ContextWitness, self.simultaneous_blocks)
+
+    def first_context_witnesses(self, cap: int) -> tuple[ContextWitness, ...]:
+        """The first ``cap`` context witnesses of each context, in scan order."""
+        return self._witnesses(ContextWitness, self.context_blocks, cap)
+
+    def first_cell_witnesses(self, cap: int) -> tuple[CellWitness, ...]:
+        """The first ``cap`` cell witnesses of each cell, in scan order."""
+        return self._witnesses(CellWitness, self.cell_blocks, cap)
+
+    def _witnesses(self, kind, blocks, cap: int | None = None) -> tuple:
+        ids = self.model.measurement_ids
+        taken: dict[object, int] = {}
+        witnesses = []
+        for block in blocks:
+            states = block.states
+            if cap is not None:
+                states = states[: max(cap - taken.get(block.group, 0), 0)]
+                taken[block.group] = taken.get(block.group, 0) + len(states)
+            rows = self.model.outcomes[states].tolist()
+            weights = self.model.probabilities[states].tolist()
+            values = block.values[: len(states)].tolist()
+            witnesses += [
+                kind(block.group, block.measurement_ids, state, dict(zip(ids, row)), tuple(v), w)
+                for state, row, v, w in zip(states.tolist(), rows, values, weights)
+            ]
+        return tuple(witnesses)
 
 
 def violation_witnesses(model: HVModel, realization: Realization) -> WitnessReport:
@@ -450,17 +535,14 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
     if model.realization_index != realization.index:
         raise ValueError("model and realization indices do not match")
     positive = np.flatnonzero(model.probabilities > POSITIVE_PROBABILITY)
-    ids = model.measurement_ids
-    rows = model.outcomes[positive].tolist()
-    weights = model.probabilities[positive].tolist()
     responses = {
         cls: _class_response(model, realization, cls, positive)
         for cell in realization.cell_map
         for cls in cell_classes(realization, cell)
     }
 
-    context_witnesses: list[ContextWitness] = []
-    simultaneous_violations: list[ContextWitness] = []
+    context_blocks: list[WitnessBlock] = []
+    simultaneous_blocks: list[WitnessBlock] = []
     simultaneous_choices = 0
     for context in CONTEXTS:
         admissible = np.array(sorted(admissible_triples(context)))
@@ -472,35 +554,32 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
             )
             if simultaneous:
                 simultaneous_choices += 1
-            representatives = tuple(cls[0] for cls in choice)
             triples = np.stack([responses[cls] for cls in choice], axis=1)
             inadmissible = ~(triples[:, None, :] == admissible).all(axis=2).any(axis=1)
-            for i in np.flatnonzero(inadmissible):
-                witness = ContextWitness(
-                    context, representatives, int(positive[i]), dict(zip(ids, rows[i])),
-                    tuple(triples[i].tolist()), weights[i],
-                )
-                if simultaneous:
-                    simultaneous_violations.append(witness)
-                else:
-                    context_witnesses.append(witness)
-
-    cell_witnesses: list[CellWitness] = []
-    for cell in sorted(realization.cell_map):
-        for cls_a, cls_b in itertools.combinations(cell_classes(realization, cell), 2):
-            values_a, values_b = responses[cls_a], responses[cls_b]
-            for i in np.flatnonzero(values_a != values_b):
-                cell_witnesses.append(
-                    CellWitness(
-                        cell, (cls_a[0], cls_b[0]), int(positive[i]), dict(zip(ids, rows[i])),
-                        (int(values_a[i]), int(values_b[i])), weights[i],
+            if inadmissible.any():
+                blocks = simultaneous_blocks if simultaneous else context_blocks
+                representatives = tuple(cls[0] for cls in choice)
+                blocks.append(
+                    WitnessBlock(
+                        context, representatives, positive[inadmissible], triples[inadmissible]
                     )
                 )
 
+    cell_blocks: list[WitnessBlock] = []
+    for cell in sorted(realization.cell_map):
+        for cls_a, cls_b in itertools.combinations(cell_classes(realization, cell), 2):
+            values = np.stack([responses[cls_a], responses[cls_b]], axis=1)
+            disagree = values[:, 0] != values[:, 1]
+            if disagree.any():
+                cell_blocks.append(
+                    WitnessBlock(cell, (cls_a[0], cls_b[0]), positive[disagree], values[disagree])
+                )
+
     return WitnessReport(
-        tuple(context_witnesses),
-        tuple(cell_witnesses),
-        tuple(simultaneous_violations),
+        model,
+        tuple(context_blocks),
+        tuple(cell_blocks),
+        tuple(simultaneous_blocks),
         simultaneous_choices,
     )
 

@@ -43,18 +43,26 @@ def ket(components: Iterable[complex], *, normalize: bool = False) -> np.ndarray
 
     The vector must already have unit norm to within ``NORM_ATOL`` unless
     ``normalize=True``, in which case it is rescaled.  Silent rescaling is
-    deliberately opt-in so that malformed inputs surface as errors.
+    deliberately opt-in so that malformed inputs surface as errors.  A
+    rescaled ket always passes ``is_normalized``: when the sum of squares
+    over- or underflows, the components are first divided by their largest
+    real or imaginary part.
     """
     v = np.array(tuple(components), dtype=complex)
     if v.shape != (4,):
         raise ValueError(f"a two-qubit ket needs exactly 4 components, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("ket components must be finite")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an infinite norm is handled below
+        norm = float(np.linalg.norm(v))
     if normalize:
         if norm < 1e-300:
             raise ValueError("cannot normalize the zero vector")
-        return v / norm
+        unit = v / norm
+        if not is_normalized(unit):
+            v = v / np.max(np.abs(v.view(float)))
+            unit = v / np.linalg.norm(v)
+        return unit
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValueError(f"ket is not normalized: |v| = {norm!r}")
     return v

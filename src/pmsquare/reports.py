@@ -8,8 +8,9 @@ the schema lives in docs/report-schema.json.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 import numpy as np
@@ -32,40 +33,54 @@ class Report:
 
 
 def _format_float(value: float) -> str:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"reports must not contain non-finite numbers, got {value!r}")
     return format(value, ".17g")
 
 
 def _render(value: Any, pieces: list[str]) -> None:
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is str:
+        pieces.append(_quote(value))
+    elif kind is float:
+        pieces.append(_format_float(value))
+    elif kind is dict:
         pieces.append("{")
         for i, key in enumerate(sorted(value)):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
             if i:
                 pieces.append(",")
-            pieces.append(json.dumps(key))
+            pieces.append(_quote(key))
             pieces.append(":")
             _render(value[key], pieces)
         pieces.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         pieces.append("[")
         for i, item in enumerate(value):
             if i:
                 pieces.append(",")
             _render(item, pieces)
         pieces.append("]")
-    elif isinstance(value, (bool, np.bool_)):
+    elif kind is bool:
         pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(_format_float(float(value)))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
+    elif kind is int:
+        pieces.append(str(value))
     elif value is None:
         pieces.append("null")
+    # subclasses and numpy scalars are rendered as the exact type they stand for
+    elif isinstance(value, dict):
+        _render(dict(value), pieces)
+    elif isinstance(value, (list, tuple)):
+        _render(list(value), pieces)
+    elif isinstance(value, (bool, np.bool_)):
+        _render(bool(value), pieces)
+    elif isinstance(value, (int, np.integer)):
+        _render(int(value), pieces)
+    elif isinstance(value, (float, np.floating)):
+        _render(float(value), pieces)
+    elif isinstance(value, str):
+        pieces.append(_quote(value))
     else:
         raise TypeError(f"cannot render {type(value).__name__} in a report")
 

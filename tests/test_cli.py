@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmsquare.cli import main, resolve_state
 
@@ -293,6 +297,158 @@ def test_bad_state_file_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
     path.write_text('{"amplitudes": [[1, 0]]}', encoding="utf-8")
     assert main(["ch", "--state", str(path)]) == 2
+
+
+def test_state_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(b'\xff\xfe{"name": "psi1"}')
+    assert main(["ch", "--state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pmsquare: cannot read state file") and err.count("\n") == 1
+
+
+def test_normalize_survives_an_overflowing_norm(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"amplitudes": [[1e308, 0], [1e308, 0], [0, 0], [0, 0]]}', encoding="utf-8")
+    code, document = run_json(capsys, "ch", "--state", str(path), "--normalize")
+    assert code == 0
+    assert document["results"]["correlators"]["zz"] == pytest.approx(0.0, abs=1e-15)
+    assert document["results"]["correlators"]["xx"] == pytest.approx(0.0, abs=1e-15)
+    code, document = run_json(capsys, "model", "1", "--state", str(path), "--normalize")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+# --- fuzzing: any state file and argument list ends in a report or a one-line error ---
+
+
+_NUMBERS = st.one_of(
+    st.floats(-1, 1),
+    st.floats(),  # NaN and the infinities become NaN/Infinity tokens
+    st.sampled_from([1e308, -1e308, 5e-324, 2.2250738585072014e-308, 1e-160, 0.5, 0, 10**400]),
+    st.integers(),
+    st.sampled_from(["1", "nan", "1e999", "x", ""]),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=8),
+    lambda children: (
+        st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+_PAIRS = st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=4, max_size=4)
+_AMPLITUDES = st.one_of(
+    _PAIRS,
+    _PAIRS,
+    st.lists(st.lists(_NUMBERS, max_size=3), max_size=6),
+    _JSON,
+)
+_NAMES = st.one_of(
+    st.sampled_from(["psi1", "chsh-max", "phiPP4", "nope", "state.json", "other.json"]), _JSON
+)
+
+
+def _encode(document) -> bytes:
+    return json.dumps(document).encode("utf-8")
+
+
+_STATE_FILES = st.one_of(
+    st.fixed_dictionaries({"amplitudes": _AMPLITUDES}).map(_encode),
+    st.fixed_dictionaries({"amplitudes": _PAIRS}).map(_encode),
+    st.fixed_dictionaries({"name": _NAMES}).map(_encode),
+    st.fixed_dictionaries({}, optional={"name": _NAMES, "amplitudes": _AMPLITUDES}).map(_encode),
+    _JSON.map(_encode),
+    st.binary(max_size=40),
+    _JSON.map(lambda d: b"\xff\xfe" + _encode(d)),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth + b"]" * depth),
+)
+_STATES = st.sampled_from(
+    ["state.json"] * 5 + ["other.json", "psi1", "chsh-max", "missing.json", "", "."]
+)
+_INDEX = st.sampled_from(["1", "2", "3"] * 3 + ["0", "x"])
+_FLAGS = st.lists(st.sampled_from(["--json", "--strict", "--normalize"]), max_size=3, unique=True)
+
+
+def _argv(command, draw):
+    if command == "model":
+        argv = ["model", draw(_INDEX), "--state", draw(_STATES)]
+        if draw(st.booleans()):
+            argv += ["--max-witnesses", str(draw(st.integers(-2, 3000)))]
+        return argv
+    if command == "sample":
+        return [
+            "sample", draw(_INDEX), "--state", draw(_STATES),
+            "--shots", str(draw(st.integers(-1, 500))),
+            "--seed", str(draw(st.sampled_from([0, 7, -1, 2**64 - 1, 2**64]))),
+        ]
+    if command == "ch":
+        return ["ch", "--state", draw(_STATES)]
+    if command == "contradiction":
+        if draw(st.booleans()):
+            return ["contradiction"]
+        return ["contradiction", "--constraints", draw(st.text(",r0c1ow2l ", max_size=8))]
+    if command == "realization":
+        return ["realization", draw(_INDEX)]
+    return [command]
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(
+        st.sampled_from(
+            ["model"] * 4 + ["sample"] * 2 + ["ch"] * 2
+            + ["contradiction", "realization", "verify", "bogus"]
+        )
+    )
+    argv = _argv(command, draw)
+    flags = draw(_FLAGS)
+    if command in ("verify", "contradiction", "realization", "bogus"):
+        flags = [f for f in flags if f != "--normalize"]
+    return argv + flags + draw(st.sampled_from([[]] * 8 + [["--extra"], ["1"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(state=_STATE_FILES, other=_STATE_FILES, argv=_command_lines())
+@example(state=b'\xff\xfe{"name": "psi1"}', other=b"{}", argv=["ch", "--state", "state.json"])
+@example(
+    state=b'{"amplitudes": [[1e308, 0], [1e308, 0], [0, 0], [0, 0]]}',
+    other=b"{}",
+    argv=["model", "1", "--state", "state.json", "--normalize"],
+)
+@example(
+    state=b'{"amplitudes": [[1' + b"0" * 400 + b', 0], [0, 0], [0, 0], [0, 0]]}',
+    other=b"{}",
+    argv=["model", "2", "--state", "state.json"],
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_state_files_and_arguments_exit_cleanly(fuzz_dir, state, other, argv):
+    # every call shares one process, and with it the cached argument parser
+    (fuzz_dir / "state.json").write_bytes(state)
+    (fuzz_dir / "other.json").write_bytes(other)
+    argv = [str(fuzz_dir / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            assert exc.code == 2
+            code = None
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr
+    if code is None:
+        assert stderr.startswith("usage: pmsquare")
+        return
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert sum(line.startswith("pmsquare:") for line in stderr.splitlines()) <= 1
+    if code == 2:
+        assert out.getvalue() == "" and stderr.startswith("pmsquare: ")
+    elif "--json" in argv and out.getvalue():
+        assert json.loads(out.getvalue())["command"] == argv[0]
 
 
 # --- process-level behavior ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +420,65 @@ def test_witness_scan_matches_a_per_state_loop():
                 (w.cell, w.measurement_ids, w.state_index, w.values, w.probability)
                 for w in report.cell_witnesses
             ] == expected_cell
+
+
+HAAR = np.array(
+    [
+        complex(re, im)
+        for re, im in json.loads(
+            (Path(__file__).parent / "golden" / "haar_state.json").read_text(encoding="utf-8")
+        )["amplitudes"]
+    ]
+)
+
+
+def _first_per_group(witnesses, group, cap):
+    kept = {}
+    out = []
+    for witness in witnesses:
+        kept[group(witness)] = kept.get(group(witness), 0) + 1
+        if kept[group(witness)] <= cap:
+            out.append(witness)
+    return tuple(out)
+
+
+def test_witness_counts_and_capped_lists_read_the_full_tuples():
+    for state in (PSI1, HAAR):
+        for model in _models_for(state):
+            realization = build_realization(model.realization_index)
+            capped = violation_witnesses(model, realization)
+            report = violation_witnesses(model, realization)
+            assert report.context_count == len(report.context_witnesses) > 0
+            assert report.cell_count == len(report.cell_witnesses)
+            assert report.simultaneous_violation_count == len(report.simultaneous_violations)
+            for cap in (0, 1, 12, 10_000):
+                assert capped.first_context_witnesses(cap) == _first_per_group(
+                    report.context_witnesses, lambda w: w.context, cap
+                )
+                assert capped.first_cell_witnesses(cap) == _first_per_group(
+                    report.cell_witnesses, lambda w: w.cell, cap
+                )
+            assert capped.first_context_witnesses(10_000) == report.context_witnesses
+
+
+def test_witness_report_is_read_only():
+    model = build_model23(HAAR, 2)
+    report = violation_witnesses(model, build_realization(2))
+    assert report.context_witnesses and report.cell_blocks
+    names = [
+        "model", "context_blocks", "cell_blocks", "simultaneous_blocks",
+        "simultaneous_choices_checked", "context_witnesses", "cell_witnesses",
+        "simultaneous_violations", "context_count", "cell_count", "new_attribute",
+    ]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(report, name, ())
+    block = report.cell_blocks[0]
+    with pytest.raises(AttributeError):
+        block.states = block.states[:1]
+    for array in (block.states, block.values):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_model2_is_model3_with_translated_wings():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmsquare.qm import (
@@ -10,6 +10,7 @@ from pmsquare.qm import (
     commutator,
     expectation,
     inner,
+    is_normalized,
     ket,
     pauli_tensor,
     product_ket,
@@ -170,6 +171,31 @@ def test_ket_validates_shape_and_norm():
     assert np.array_equal(v, product_ket("00"))
     with pytest.raises(ValueError):
         ket([0.0, 0.0, 0.0, 0.0], normalize=True)
+
+
+_PART = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1.7e308, 1e-160, 5e-324, 0.0]),
+)
+
+
+@given(st.lists(st.tuples(_PART, _PART), min_size=4, max_size=4))
+@example([(1e308, 0.0), (1e308, 0.0), (0.0, 0.0), (0.0, 0.0)])
+@example([(1.7e308, 1.7e308), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])
+@example([(1e-160, 0.0), (0.0, 1e-160), (0.0, 0.0), (0.0, 0.0)])
+@settings(max_examples=200)
+def test_normalize_returns_a_unit_ket_or_raises(parts):
+    v = np.array([complex(re, im) for re, im in parts])
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    try:
+        unit = ket(v, normalize=True)
+    except ValueError:
+        assert norm < 1e-300
+        return
+    assert is_normalized(unit)
+    if np.isfinite(norm) and is_normalized(v / norm):
+        assert unit.tobytes() == (v / norm).tobytes()
 
 
 def test_inner_is_conjugate_linear_in_first_argument():

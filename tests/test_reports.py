@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmsquare.reports import Report, render_json, render_text, validate_envelope
 
@@ -60,3 +62,105 @@ def test_validate_envelope():
         validate_envelope({**good, "pass": "yes"})
     with pytest.raises(ValueError):
         validate_envelope({**good, "extra": 1})
+
+
+# --- the exact-type renderer against the isinstance-chain renderer it replaced ---------
+
+
+def _reference_render(value, pieces):
+    if isinstance(value, dict):
+        pieces.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            if i:
+                pieces.append(",")
+            pieces.append(json.dumps(key))
+            pieces.append(":")
+            _reference_render(value[key], pieces)
+        pieces.append("}")
+    elif isinstance(value, (list, tuple)):
+        pieces.append("[")
+        for i, item in enumerate(value):
+            if i:
+                pieces.append(",")
+            _reference_render(item, pieces)
+        pieces.append("]")
+    elif isinstance(value, (bool, np.bool_)):
+        pieces.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        pieces.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        if not np.isfinite(float(value)):
+            raise ValueError(f"reports must not contain non-finite numbers, got {value!r}")
+        pieces.append(format(float(value), ".17g"))
+    elif isinstance(value, str):
+        pieces.append(json.dumps(value))
+    elif value is None:
+        pieces.append("null")
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} in a report")
+
+
+def _reference_json(report):
+    pieces = []
+    _reference_render(report.to_document(), pieces)
+    return "".join(pieces)
+
+
+# every code point, lone surrogates and control characters included
+_TEXT = st.text(st.characters(codec=None, categories=None), max_size=12)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FINITE,
+    _TEXT,
+    _TEXT.map(np.str_),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FINITE.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_DOCUMENTS, st.dictionaries(_TEXT, _DOCUMENTS, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_render_json_matches_the_isinstance_chain_renderer(results, inputs):
+    report = Report("ch", inputs, {"v": results}, True)
+    assert render_json(report) == _reference_json(report)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ({1: "x"}, TypeError),
+        ({None: "x"}, TypeError),
+        ({("a",): "x"}, TypeError),
+        ({np.str_("a"): 1, 2: "x"}, TypeError),
+        (float("nan"), ValueError),
+        (float("inf"), ValueError),
+        (-float("inf"), ValueError),
+        (np.float64("nan"), ValueError),
+        (np.float32("-inf"), ValueError),
+        ([1, {"k": float("inf")}], ValueError),
+        ({"k": object()}, TypeError),
+    ],
+)
+def test_render_json_errors_match_the_isinstance_chain_renderer(bad, error):
+    report = Report("ch", {}, {"v": bad}, True)
+    with pytest.raises(error):
+        _reference_json(report)
+    with pytest.raises(error):
+        render_json(report)
