@@ -83,7 +83,8 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
     try:
         state = ket(components, normalize=normalize)
     except ValueError as exc:
-        raise UsageError(f"bad state in {spec!r}: {exc} (did you mean --normalize?)") from None
+        hint = "" if normalize else " (did you mean --normalize?)"
+        raise UsageError(f"bad state in {spec!r}: {exc}{hint}") from None
     echo = {
         "amplitudes": [[float(a.real), float(a.imag)] for a in components],
         "normalized": bool(normalize),

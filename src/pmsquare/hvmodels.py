@@ -22,7 +22,11 @@ argument: hidden states whose value triple in a *non-simultaneous*
 context falls outside the admissible eigenvalue triples, and hidden
 states where two different realizers of one cell disagree.  Inside every
 simultaneously measurable context the induced triples are always
-admissible, which the same scan asserts.
+admissible, which the same scan asserts.  What the scan needs of the
+realization (identification classes, outcome lookups, class choices and
+admissibility tables) is a read-only ``Realization.scan_plan``, built once
+per realization, so each scan is array gathers and table lookups.
+Marginals are tallied by one integer key per hidden state.
 """
 
 from __future__ import annotations
@@ -39,14 +43,8 @@ import numpy as np
 from . import feasibility
 from .errors import InfeasibleModelError, InternalConsistencyError
 from .qm import VERIFY_ATOL, apply, born_probability, expectation, ket, pauli_tensor, side_projector
-from .square import CONTEXTS, Context, admissible_triples, context_cells, eigentable
-from .realizations import (
-    Realization,
-    build_realization,
-    cell_classes,
-    classes_compatible,
-    consistent_pair_outcomes,
-)
+from .square import CONTEXTS, Context, eigentable
+from .realizations import Realization, build_realization, consistent_pair_outcomes
 
 #: Hidden states with probability at or below this threshold are ignored
 #: by the witness scans.
@@ -145,11 +143,15 @@ class HVModel:
         return self.outcomes[:, self.measurement_ids.index(measurement_id)]
 
     def _tally(self, *measurement_ids: str) -> dict[tuple[int, ...], float]:
-        # bincount adds the weights in state order, as a loop over the states does
-        table = np.stack([self.column(mid) for mid in measurement_ids], axis=1)
-        keys, inverse = np.unique(table, axis=0, return_inverse=True)
-        totals = np.bincount(inverse.ravel(), weights=self.probabilities, minlength=len(keys))
-        return {tuple(key): float(p) for key, p in zip(keys.tolist(), totals)}
+        # the outcomes of a row, shifted to 0..255, are the digits of one integer
+        # key that sorts as the rows do; bincount adds the weights in state
+        # order, as a loop over the states does
+        dims = (256,) * len(measurement_ids)
+        digits = [self.column(mid).astype(np.intp) + 128 for mid in measurement_ids]
+        keys, inverse = np.unique(np.ravel_multi_index(digits, dims), return_inverse=True)
+        totals = np.bincount(inverse, weights=self.probabilities, minlength=len(keys))
+        rows = (np.array(np.unravel_index(keys, dims)) - 128).T.tolist()
+        return dict(zip(map(tuple, rows), totals.tolist()))
 
     def marginal(self, measurement_id: str) -> dict[int, float]:
         """Model-induced outcome distribution of one physical measurement."""
@@ -384,33 +386,15 @@ def audit_noncontextuality(model: HVModel, realization: Realization) -> bool:
         return False
     if np.any(model.probabilities < -POSITIVE_PROBABILITY):
         return False
-    for mid in model.measurement_ids:
-        if not np.isin(model.column(mid), realization.physicals[mid].outcomes).all():
-            return False
+    plan = realization.scan_plan
+    codes = model.outcomes[:, [model.measurement_ids.index(mid) for mid in plan.parents]]
+    if not plan.valid[np.arange(len(plan.parents)), codes.view(np.uint8)].all():
+        return False
     for derived in realization.derived.values():
         parent = realization.physicals.get(derived.parent)
         if parent is None or set(derived.outcome_map) != set(parent.outcomes):
             return False
     return True
-
-
-def _class_response(
-    model: HVModel, realization: Realization, cls: tuple[str, ...], states: np.ndarray
-) -> np.ndarray:
-    """Response of an identification class in each of the given hidden states.
-
-    All members must agree (identified measurements read the same wing),
-    so a disagreement is a construction bug.
-    """
-    responses = []
-    for did in cls:
-        derived = realization.derived[did]
-        lookup = np.zeros(6, dtype=np.int8)  # indexed by parent outcome + 1, over -1..4
-        lookup[[o + 1 for o in derived.outcome_map]] = list(derived.outcome_map.values())
-        responses.append(lookup[model.column(derived.parent)[states] + 1])
-    if any(np.any(response != responses[0]) for response in responses[1:]):
-        raise InternalConsistencyError(f"identified measurements {cls} disagree in a hidden state")
-    return responses[0]
 
 
 @dataclass(frozen=True)
@@ -534,53 +518,52 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
     """
     if model.realization_index != realization.index:
         raise ValueError("model and realization indices do not match")
+    plan = realization.scan_plan
     positive = np.flatnonzero(model.probabilities > POSITIVE_PROBABILITY)
-    responses = {
-        cls: _class_response(model, realization, cls, positive)
-        for cell in realization.cell_map
-        for cls in cell_classes(realization, cell)
-    }
+    columns = [model.measurement_ids.index(mid) for mid in plan.parents]
+    rows = model.outcomes[positive][:, columns]
+    codes = rows.view(np.uint8)  # [states, parents]
+    valid = plan.valid[np.arange(len(columns)), codes]
+    if not valid.all():
+        state, parent = np.argwhere(~valid)[0]
+        raise ValueError(
+            f"hidden state {positive[state]}: {rows[state, parent]} is not an outcome "
+            f"of {plan.parents[parent]}"
+        )
+    members = plan.lookups[np.arange(len(plan.member_parents)), codes[:, plan.member_parents]]
+    responses = members[:, : len(plan.classes)]  # [states, classes]
+    disagree = (members != responses[:, plan.member_classes]).any(axis=0)
+    if disagree.any():
+        cls = plan.classes[plan.member_classes[np.argmax(disagree)]]
+        raise InternalConsistencyError(f"identified measurements {cls} disagree in a hidden state")
 
+    triples = responses[:, plan.choices]  # [states, choices, 3]
+    inadmissible = ~plan.admissible[
+        plan.choice_contexts, triples[..., 0], triples[..., 1], triples[..., 2]
+    ]
     context_blocks: list[WitnessBlock] = []
     simultaneous_blocks: list[WitnessBlock] = []
-    simultaneous_choices = 0
-    for context in CONTEXTS:
-        admissible = np.array(sorted(admissible_triples(context)))
-        class_options = [cell_classes(realization, cell) for cell in context_cells(context)]
-        for choice in itertools.product(*class_options):
-            simultaneous = all(
-                classes_compatible(realization, a, b)
-                for a, b in itertools.combinations(choice, 2)
-            )
-            if simultaneous:
-                simultaneous_choices += 1
-            triples = np.stack([responses[cls] for cls in choice], axis=1)
-            inadmissible = ~(triples[:, None, :] == admissible).all(axis=2).any(axis=1)
-            if inadmissible.any():
-                blocks = simultaneous_blocks if simultaneous else context_blocks
-                representatives = tuple(cls[0] for cls in choice)
-                blocks.append(
-                    WitnessBlock(
-                        context, representatives, positive[inadmissible], triples[inadmissible]
-                    )
-                )
+    for choice in np.flatnonzero(inadmissible.any(axis=0)):
+        hit = inadmissible[:, choice]
+        blocks = simultaneous_blocks if plan.simultaneous[choice] else context_blocks
+        context = CONTEXTS[plan.choice_contexts[choice]]
+        names = tuple(plan.classes[cls][0] for cls in plan.choices[choice])
+        blocks.append(WitnessBlock(context, names, positive[hit], triples[hit, choice]))
 
     cell_blocks: list[WitnessBlock] = []
-    for cell in sorted(realization.cell_map):
-        for cls_a, cls_b in itertools.combinations(cell_classes(realization, cell), 2):
-            values = np.stack([responses[cls_a], responses[cls_b]], axis=1)
-            disagree = values[:, 0] != values[:, 1]
-            if disagree.any():
-                cell_blocks.append(
-                    WitnessBlock(cell, (cls_a[0], cls_b[0]), positive[disagree], values[disagree])
-                )
+    for cell, cls_a, cls_b in plan.cell_pairs:
+        values = responses[:, [cls_a, cls_b]]
+        disagree = values[:, 0] != values[:, 1]
+        if disagree.any():
+            names = (plan.classes[cls_a][0], plan.classes[cls_b][0])
+            cell_blocks.append(WitnessBlock(cell, names, positive[disagree], values[disagree]))
 
     return WitnessReport(
         model,
         tuple(context_blocks),
         tuple(cell_blocks),
         tuple(simultaneous_blocks),
-        simultaneous_choices,
+        int(np.count_nonzero(plan.simultaneous)),
     )
 
 

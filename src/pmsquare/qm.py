@@ -42,11 +42,11 @@ def ket(components: Iterable[complex], *, normalize: bool = False) -> np.ndarray
     """Build a two-qubit ket from four complex components.
 
     The vector must already have unit norm to within ``NORM_ATOL`` unless
-    ``normalize=True``, in which case it is rescaled.  Silent rescaling is
-    deliberately opt-in so that malformed inputs surface as errors.  A
-    rescaled ket always passes ``is_normalized``: when the sum of squares
-    over- or underflows, the components are first divided by their largest
-    real or imaginary part.
+    ``normalize=True``, in which case any vector but the exact zero vector
+    is rescaled.  Silent rescaling is deliberately opt-in so that malformed
+    inputs surface as errors.  A rescaled ket always passes
+    ``is_normalized``: when the sum of squares over- or underflows, the
+    components are first divided by their largest real or imaginary part.
     """
     v = np.array(tuple(components), dtype=complex)
     if v.shape != (4,):
@@ -56,11 +56,12 @@ def ket(components: Iterable[complex], *, normalize: bool = False) -> np.ndarray
     with np.errstate(over="ignore"):  # an infinite norm is handled below
         norm = float(np.linalg.norm(v))
     if normalize:
-        if norm < 1e-300:
+        if not np.any(v):
             raise ValueError("cannot normalize the zero vector")
-        unit = v / norm
+        unit = v / norm if norm else v
         if not is_normalized(unit):
-            v = v / np.max(np.abs(v.view(float)))
+            parts = v.view(float)  # real division: 1 / a subnormal part overflows
+            v = (parts / np.max(np.abs(parts))).view(complex)
             unit = v / np.linalg.norm(v)
         return unit
     if abs(norm - 1.0) > NORM_ATOL:

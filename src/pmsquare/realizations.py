@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .square import (
     CONTEXTS,
     Cell,
     Context,
+    admissible_triples,
     context_cells,
     eigentable,
 )
@@ -111,6 +112,42 @@ class Realization:
     derived: Mapping[str, DerivedMeasurement]
     cell_map: Mapping[Cell, tuple[str, ...]]
     identifications: tuple[frozenset[str], ...]
+
+    @cached_property
+    def scan_plan(self) -> ScanPlan:
+        """The read-only witness-scan plan of this instance, built on first use."""
+        return _scan_plan(self)
+
+
+@dataclass(frozen=True, eq=False)
+class ScanPlan:
+    """The structural part of the witness scan, fixed by the realization alone.
+
+    Tables are indexed by an outcome's int8 bit pattern (``view(np.uint8)``),
+    so every int8 value has a slot of its own: ``valid`` marks the outcomes
+    of each physical measurement and ``lookups`` gives each class member's
+    value (0 off its parent's outcomes).  Member row k is the first member
+    of class k; the other members follow class by class.  The class choices
+    (one class per cell of a context) run context by context in
+    ``CONTEXTS`` order.
+    """
+
+    parents: tuple[str, ...]  # physical measurement ids
+    valid: np.ndarray  # bool[parents, 256]
+    classes: tuple[tuple[str, ...], ...]  # identification classes
+    member_parents: np.ndarray  # intp[members]: row in ``parents``
+    member_classes: np.ndarray  # intp[members]: row in ``classes``
+    lookups: np.ndarray  # int8[members, 256]
+    choices: np.ndarray  # intp[choices, 3]: rows in ``classes``, in context_cells order
+    choice_contexts: np.ndarray  # intp[choices]: row in CONTEXTS
+    simultaneous: np.ndarray  # bool[choices]
+    admissible: np.ndarray  # bool[contexts, 3, 3, 3], indexed by the +/-1 triple (-1 is slot 2)
+    cell_pairs: tuple[tuple[Cell, int, int], ...]  # (cell, class a, class b)
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -314,6 +351,59 @@ def classes_compatible(
     parents_a = {realization.derived[d].parent for d in class_a}
     parents_b = {realization.derived[d].parent for d in class_b}
     return bool(parents_a & parents_b)
+
+
+def _slots(outcomes: Iterable[int]) -> np.ndarray:
+    """The table slots of int8 outcomes: their bit patterns read as uint8."""
+    return np.array(list(outcomes), dtype=np.int8).view(np.uint8)
+
+
+def _scan_plan(realization: Realization) -> ScanPlan:
+    parents = tuple(realization.physicals)
+    cells = {cell: cell_classes(realization, cell) for cell in realization.cell_map}
+    classes = list(dict.fromkeys(itertools.chain.from_iterable(cells.values())))
+    members = [(k, cls[0]) for k, cls in enumerate(classes)]
+    members += [(k, did) for k, cls in enumerate(classes) for did in cls[1:]]
+    valid = np.zeros((len(parents), 256), dtype=bool)
+    for row, mid in enumerate(parents):
+        valid[row, _slots(realization.physicals[mid].outcomes)] = True
+    lookups = np.zeros((len(members), 256), dtype=np.int8)
+    for row, (_, did) in enumerate(members):
+        outcome_map = realization.derived[did].outcome_map
+        if not set(outcome_map.values()) <= {1, -1}:
+            raise InternalConsistencyError(f"{did} is not +/-1-valued")
+        lookups[row, _slots(outcome_map)] = list(outcome_map.values())
+
+    choices: list[tuple[tuple[str, ...], ...]] = []
+    choice_contexts: list[int] = []
+    admissible = np.zeros((len(CONTEXTS), 3, 3, 3), dtype=bool)
+    for row, context in enumerate(CONTEXTS):
+        options = list(itertools.product(*(cells[cell] for cell in context_cells(context))))
+        choices += options
+        choice_contexts += [row] * len(options)
+        for triple in admissible_triples(context):
+            admissible[(row, *triple)] = True
+    simultaneous = [
+        all(classes_compatible(realization, a, b) for a, b in itertools.combinations(choice, 2))
+        for choice in choices
+    ]
+    return ScanPlan(
+        parents,
+        valid,
+        tuple(classes),
+        np.array([parents.index(realization.derived[did].parent) for _, did in members]),
+        np.array([k for k, _ in members]),
+        lookups,
+        np.array([[classes.index(cls) for cls in choice] for choice in choices]),
+        np.array(choice_contexts),
+        np.array(simultaneous),
+        admissible,
+        tuple(
+            (cell, classes.index(a), classes.index(b))
+            for cell in sorted(cells)
+            for a, b in itertools.combinations(cells[cell], 2)
+        ),
+    )
 
 
 def check_requirements(realization: Realization) -> RequirementReport:

@@ -319,6 +319,21 @@ def test_normalize_survives_an_overflowing_norm(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_normalize_rescales_a_vanishing_norm_and_drops_the_hint(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"amplitudes": [[1e-301, 0], [0, 0], [0, 0], [0, 0]]}', encoding="utf-8")
+    code, document = run_json(capsys, "ch", "--state", str(path), "--normalize")
+    assert code == 0
+    assert document["results"]["correlators"]["zz"] == 1.0
+    assert capsys.readouterr().err == ""
+    path.write_text('{"amplitudes": [[0, 0], [0, 0], [0, 0], [0, 0]]}', encoding="utf-8")
+    assert main(["ch", "--state", str(path), "--normalize"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot normalize the zero vector" in err and "did you mean" not in err
+    assert main(["ch", "--state", str(path)]) == 2
+    assert "(did you mean --normalize?)" in capsys.readouterr().err
+
+
 # --- fuzzing: any state file and argument list ends in a report or a one-line error ---
 
 

@@ -382,6 +382,53 @@ def test_states_view_and_marginals_match_a_per_state_loop():
             assert stats.probability_sum == sum(s.probability for s in model.states)
 
 
+_OUTCOME = st.one_of(st.integers(-128, 127), st.sampled_from([-128, -1, 0, 1, 2, 127]))
+_WEIGHT = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(
+            st.tuples(st.lists(_OUTCOME, min_size=width, max_size=width), _WEIGHT),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+@example([([-128, 127], 0.0), ([127, -128], 5e-324), ([-128, 127], 1e-310), ([0, 0], 0.5)])
+@settings(max_examples=200)
+def test_property_code_tally_matches_the_per_state_loop(rows):
+    # keys in sorted order, the order np.unique(axis=0) gave; repr tells
+    # apart every bit of a float and an int from a numpy integer
+    ids = tuple(f"m{j}" for j in range(len(rows[0][0])))
+    model = HVModel(1, ids, [outcomes for outcomes, _ in rows], [w for _, w in rows])
+    for mid in ids:
+        expected = [(key[0], p) for key, p in sorted(_loop_tally(model, mid).items())]
+        assert repr(list(model.marginal(mid).items())) == repr(expected)
+    for id_a, id_b in itertools.product(ids, repeat=2):
+        expected = sorted(_loop_tally(model, id_a, id_b).items())
+        assert repr(list(model.joint_marginal(id_a, id_b).items())) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "index, column, outcome",
+    [(1, 0, -2), (1, 0, 5), (1, 2, -128), (1, 1, 127), (3, 0, 0), (3, 4, -1), (2, 5, 127)],
+)
+def test_witness_scan_rejects_outcomes_a_measurement_does_not_have(index, column, outcome):
+    model = {1: build_model1, 2: lambda s: build_model23(s, 2), 3: build_model23}[index](PSI1)
+    outcomes = model.outcomes.copy()
+    row = int(np.flatnonzero(model.probabilities > 1e-12)[-1])
+    outcomes[row, column] = outcome
+    broken = HVModel(index, model.measurement_ids, outcomes, model.probabilities)
+    mid = model.measurement_ids[column]
+    message = rf"^hidden state {row}: {outcome} is not an outcome of {mid}$"
+    with pytest.raises(ValueError, match=message):
+        violation_witnesses(broken, build_realization(index))
+    assert not audit_noncontextuality(broken, build_realization(index))
+
+
 def test_witness_scan_matches_a_per_state_loop():
     for state in [PSI1, *random_states(3, seed=47)]:
         for model in _models_for(state):

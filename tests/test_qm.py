@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,8 +171,9 @@ def test_ket_validates_shape_and_norm():
         ket([np.nan, 0.0, 0.0, 0.0])
     v = ket([2.0, 0.0, 0.0, 0.0], normalize=True)
     assert np.array_equal(v, product_ket("00"))
-    with pytest.raises(ValueError):
-        ket([0.0, 0.0, 0.0, 0.0], normalize=True)
+    for zero in ([0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, -0.0j, 0.0]):
+        with pytest.raises(ValueError, match="zero vector"):
+            ket(zero, normalize=True)
 
 
 _PART = st.one_of(
@@ -191,11 +194,28 @@ def test_normalize_returns_a_unit_ket_or_raises(parts):
     try:
         unit = ket(v, normalize=True)
     except ValueError:
-        assert norm < 1e-300
+        assert norm < 1e-300 and not np.any(v)
         return
     assert is_normalized(unit)
-    if np.isfinite(norm) and is_normalized(v / norm):
+    if np.isfinite(norm) and norm > 0 and is_normalized(v / norm):
         assert unit.tobytes() == (v / norm).tobytes()
+
+
+@pytest.mark.parametrize(
+    "components, expected",
+    [
+        ([1e-301, 0, 0, 0], [1, 0, 0, 0]),
+        ([5e-324, 0, 0, 0], [1, 0, 0, 0]),
+        ([-0.0, 0, 0, 5e-324j], [0, 0, 0, 1j]),
+        ([1e-300, 0, 1e-300, 0], [2**-0.5, 0, 2**-0.5, 0]),
+    ],
+)
+def test_normalize_rescales_any_nonzero_vector(components, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or division warning either
+        unit = ket(components, normalize=True)
+    assert is_normalized(unit)
+    assert np.allclose(unit, np.array(expected, dtype=complex), rtol=0, atol=1e-15)
 
 
 def test_inner_is_conjugate_linear_in_first_argument():

@@ -1,14 +1,17 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from pmsquare.errors import InternalConsistencyError
 from pmsquare.qm import expectation
 from pmsquare.realizations import (
     build_realization,
     cell_classes,
     cell_of_derived,
     check_requirements,
+    classes_compatible,
     consistent_pair_outcomes,
     derived_born_distribution,
     derived_outcome,
@@ -16,7 +19,7 @@ from pmsquare.realizations import (
     translate_outcomes,
     translate_outcomes_inverse,
 )
-from pmsquare.square import build_square
+from pmsquare.square import CONTEXTS, admissible_triples, build_square, context_cells
 
 from conftest import random_states
 
@@ -272,3 +275,91 @@ def test_exactly_sixteen_consistent_tuples_exist():
             continue
         consistent += 1
     assert consistent == 16
+
+
+# --- witness-scan plans -------------------------------------------------------
+
+
+_PLAN_ARRAYS = (
+    "valid", "member_parents", "member_classes", "lookups",
+    "choices", "choice_contexts", "simultaneous", "admissible",
+)
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_scan_plan_is_read_only(index):
+    realization = build_realization(index)
+    plan = realization.scan_plan
+    for name in _PLAN_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(plan, name)[...] = 0
+    for field in dataclasses.fields(plan):
+        with pytest.raises(AttributeError):
+            setattr(plan, field.name, None)
+    for container in (plan.parents, plan.classes, plan.classes[0], plan.cell_pairs):
+        with pytest.raises(TypeError):
+            container[0] = None
+    with pytest.raises(AttributeError):
+        realization.scan_plan = plan
+    with pytest.raises(AttributeError):
+        del realization.scan_plan
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_scan_plan_follows_the_class_structure(index):
+    r = build_realization(index)
+    plan = r.scan_plan
+    assert plan is build_realization(index).scan_plan  # built once per cached realization
+    classes = {cls: None for cell in r.cell_map for cls in cell_classes(r, cell)}
+    assert plan.classes == tuple(classes)
+    expected = [
+        (row, choice)
+        for row, context in enumerate(CONTEXTS)
+        for choice in itertools.product(*(cell_classes(r, c) for c in context_cells(context)))
+    ]
+    assert plan.choice_contexts.tolist() == [row for row, _ in expected]
+    for (_, choice), rows, simultaneous in zip(expected, plan.choices, plan.simultaneous):
+        assert tuple(plan.classes[k] for k in rows) == choice
+        assert simultaneous == all(
+            classes_compatible(r, a, b) for a, b in itertools.combinations(choice, 2)
+        )
+    for row, context in enumerate(CONTEXTS):
+        for triple in itertools.product((1, -1), repeat=3):
+            assert plan.admissible[(row, *triple)] == (triple in admissible_triples(context))
+    members = [cls[0] for cls in plan.classes] + [d for cls in plan.classes for d in cls[1:]]
+    assert len(plan.lookups) == len(members)
+    for row, did in enumerate(members):
+        derived = r.derived[did]
+        parent = r.physicals[derived.parent]
+        assert plan.parents[plan.member_parents[row]] == derived.parent
+        assert did in plan.classes[plan.member_classes[row]]
+        for slot in range(256):
+            outcome = int(np.uint8(slot).view(np.int8))
+            assert plan.valid[plan.member_parents[row], slot] == (outcome in parent.outcomes)
+            assert plan.lookups[row, slot] == derived.outcome_map.get(outcome, 0)
+    assert plan.cell_pairs == tuple(
+        (cell, plan.classes.index(a), plan.classes.index(b))
+        for cell in sorted(r.cell_map)
+        for a, b in itertools.combinations(cell_classes(r, cell), 2)
+    )
+
+
+def test_a_replaced_realization_gets_its_own_plan():
+    cached = build_realization(2)
+    unidentified = dataclasses.replace(cached, identifications=())
+    assert unidentified.scan_plan is not cached.scan_plan
+    assert unidentified.scan_plan is unidentified.scan_plan
+    assert len(cached.scan_plan.classes) == len(cached.derived) - 4
+    assert len(unidentified.scan_plan.classes) == len(cached.derived)
+    assert len(cached.scan_plan.cell_pairs) == 5
+    assert len(unidentified.scan_plan.cell_pairs) == 9
+    assert build_realization(2).scan_plan is cached.scan_plan
+
+
+def test_scan_plan_refuses_a_derived_value_other_than_plus_minus_one():
+    cached = build_realization(1)
+    derived = dict(cached.derived)
+    derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map={1: 2, 2: 1, 3: -1, 4: -1})
+    broken = dataclasses.replace(cached, derived=derived)
+    with pytest.raises(InternalConsistencyError, match=r"f\(B\) is not \+/-1-valued"):
+        broken.scan_plan
