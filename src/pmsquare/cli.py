@@ -122,6 +122,8 @@ def _fine_doc(fine: hvmodels.FineResult) -> dict[str, Any]:
         doc["joint"] = _joint_doc(fine.joint)
     if fine.certificate is not None:
         doc["certificate"] = [float(v) for v in fine.certificate]
+    if fine.mixing > 0.0:
+        doc["mixing"] = float(fine.mixing)
     return doc
 
 

@@ -9,13 +9,12 @@ input bits, so repeated solves of the same system are bit-identical.
 Feasible systems return a vertex point; infeasible systems return a
 Farkas certificate y with y @ A <= 0 componentwise and y @ b > 0, taken
 from the optimal phase-1 duals.  Both are verified by direct
-multiplication before they are returned.
+multiplication, to the fixed ``TOLERANCE``, before they are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,18 +24,20 @@ from .errors import InternalConsistencyError
 _PIVOT_EPS = 1e-10
 #: Tolerance for ratio ties in the leaving-row selection.
 _RATIO_EPS = 1e-12
+#: Bound on a feasible point's residual, the phase-1 objective and ``max(y @ A)``.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equality constraints ``coefficients @ x = rhs`` over x >= 0."""
+    """Equality constraints ``coefficients @ x = rhs`` over x >= 0, as read-only copies."""
 
     coefficients: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.coefficients, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
+        a = np.array(self.coefficients, dtype=float)
+        b = np.array(self.rhs, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"coefficient matrix must be 2-d, got {a.ndim}-d")
         if b.ndim != 1 or b.shape[0] != a.shape[0]:
@@ -45,31 +46,13 @@ class LinearSystem:
             )
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("system entries must be finite")
-        object.__setattr__(self, "coefficients", a)
-        object.__setattr__(self, "rhs", b)
-
-    @classmethod
-    def from_rows(
-        cls, num_vars: int, rows: Iterable[tuple[Sequence[float], float]]
-    ) -> "LinearSystem":
-        coefficients = []
-        rhs = []
-        for i, (coeffs, value) in enumerate(rows):
-            coeffs = list(coeffs)
-            if len(coeffs) != num_vars:
-                raise ValueError(f"row {i} has {len(coeffs)} coefficients, expected {num_vars}")
-            coefficients.append(coeffs)
-            rhs.append(value)
-        a = np.array(coefficients, dtype=float).reshape(len(rhs), num_vars)
-        return cls(a, np.array(rhs, dtype=float))
+        for name, array in (("coefficients", a), ("rhs", b)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def num_vars(self) -> int:
         return self.coefficients.shape[1]
-
-    @property
-    def num_rows(self) -> int:
-        return self.coefficients.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,11 +63,11 @@ class FeasibilityResult:
     phase1_objective: float
 
 
-def solve(system: LinearSystem, *, tol: float = 1e-9) -> FeasibilityResult:
+def solve(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility of ``system`` and produce a point or a certificate.
 
-    ``tol`` bounds both the accepted residual of a feasible point and the
-    phase-1 objective below which the system counts as feasible.
+    ``TOLERANCE`` bounds both the accepted residual of a feasible point and
+    the phase-1 objective at or below which the system counts as feasible.
     """
     a = system.coefficients
     b = system.rhs
@@ -139,14 +122,14 @@ def solve(system: LinearSystem, *, tol: float = 1e-9) -> FeasibilityResult:
 
     objective = float(sum(tab[i, -1] for i in range(m) if basis[i] >= n))
 
-    if objective <= tol:
+    if objective <= TOLERANCE:
         x = np.zeros(n)
         for i, var in enumerate(basis):
             if var < n:
                 x[var] = tab[i, -1]
         residual = float(np.max(np.abs(a @ x - b)))
         lowest = float(x.min()) if n else 0.0
-        if residual > tol or lowest < -1e-12:
+        if residual > TOLERANCE or lowest < -1e-12:
             raise InternalConsistencyError(
                 f"feasible point failed verification (residual {residual:.3e}, "
                 f"min coordinate {lowest:.3e})"
@@ -161,7 +144,7 @@ def solve(system: LinearSystem, *, tol: float = 1e-9) -> FeasibilityResult:
     y = y / scale
     against = float(np.max(y @ a)) if n else 0.0
     value = float(y @ b)
-    if against > tol or value <= 0.0:
+    if against > TOLERANCE or value <= 0.0:
         raise InternalConsistencyError(
             f"Farkas certificate failed verification (max y@A = {against:.3e}, "
             f"y@b = {value:.3e})"

@@ -13,9 +13,9 @@ measurements of realization 3: 2^4 * 4^2 = 256 hidden states weighted by
 p(i,j,k,l) * Born(B=m) * Born(B'=n), where p is a joint distribution over
 the four one-wing polarization values that reproduces the four measurable
 pairwise joints.  Such a joint exists exactly when the fixed-setting CHSH
-bound |S| <= 2 holds, and it is found (or refuted with a Farkas
-certificate) by linear feasibility; realization 2 gets the same states
-through the outcome translation.
+bound |S| <= 2 holds (Fine's theorem); it is found or refuted with a
+Farkas certificate by linear feasibility over one constant marginalization
+matrix.  Realization 2 gets the same states through the outcome translation.
 
 ``violation_witnesses`` exhibits how the models escape the square's no-go
 argument: hidden states whose value triple in a *non-simultaneous*
@@ -44,7 +44,7 @@ from . import feasibility
 from .errors import InfeasibleModelError, InternalConsistencyError
 from .qm import VERIFY_ATOL, apply, born_probability, expectation, ket, pauli_tensor, side_projector
 from .square import CONTEXTS, Context, eigentable
-from .realizations import Realization, build_realization, consistent_pair_outcomes
+from .realizations import SIDE_IDS, Realization, build_realization, consistent_pair_outcomes
 
 #: Hidden states with probability at or below this threshold are ignored
 #: by the witness scans.
@@ -64,8 +64,18 @@ _PAIR_SLOTS = {("z", "z"): (0, 1), ("z", "x"): (0, 3), ("x", "z"): (2, 1), ("x",
 
 _AXIS_LABEL = {"z": "Z", "x": "X"}
 
-#: One-wing measurement ids in joint-key slot order.
-_SIDE_IDS = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
+#: Coefficients of the Fine system: a normalization row, then for each pair
+#: of ``PAIR_AXES`` and outcome pair (a, b) the indicator of the joint keys
+#: whose two slots read (a, b).
+_MARGINALIZATION = np.array(
+    [[1.0] * len(JOINT_KEYS)]
+    + [
+        [float((key[slot_a], key[slot_b]) == ab) for key in JOINT_KEYS]
+        for slot_a, slot_b in map(_PAIR_SLOTS.get, PAIR_AXES)
+        for ab in itertools.product(_SIGNS, repeat=2)
+    ]
+)
+_MARGINALIZATION.setflags(write=False)
 
 #: Number G of guide-table buckets for sampling.  A power of two, so
 #: ``u * G``, its floor and ``k / G`` are exact in floating point and
@@ -97,6 +107,7 @@ class FineResult:
     certificate: np.ndarray | None
     ch: CHReport
     system: feasibility.LinearSystem
+    mixing: float = 0.0  # weight of the uniform joint in the solved system
 
 
 @dataclass(frozen=True)
@@ -234,33 +245,36 @@ def fine_system(state: np.ndarray) -> feasibility.LinearSystem:
     the Born joint.
     """
     joints = quantum_pair_joints(state)
-    rows: list[tuple[list[float], float]] = [([1.0] * len(JOINT_KEYS), 1.0)]
-    for pair in PAIR_AXES:
-        slot_a, slot_b = _PAIR_SLOTS[pair]
-        for a, b in itertools.product(_SIGNS, repeat=2):
-            coeffs = [
-                1.0 if key[slot_a] == a and key[slot_b] == b else 0.0 for key in JOINT_KEYS
-            ]
-            rows.append((coeffs, joints[pair][(a, b)]))
-    return feasibility.LinearSystem.from_rows(len(JOINT_KEYS), rows)
+    rhs = [1.0, *(p for pair in PAIR_AXES for p in joints[pair].values())]
+    return feasibility.LinearSystem(_MARGINALIZATION, rhs)
 
 
 def fine_joint(state: np.ndarray) -> FineResult:
     """Find a joint one-wing distribution matching the measurable pairs.
 
-    Returns a feasible point as a 16-entry joint, or an infeasibility
-    certificate; the attached CHSH report tells the two outcomes apart
-    up to the numerical boundary at |S| = 2.
+    Returns a 16-entry joint, or a certificate iff ``ch.violated`` (else
+    InternalConsistencyError).  For 2 < |S| <= 2 + 1e-9 the Born joints are
+    mixed with the uniform joint at weight ``mixing`` = 1 - 2/|S|, which
+    puts |S| at 2 and moves each joint entry by at most 0.75 * mixing.
     """
     state = ket(state)
-    system = fine_system(state)
-    result = feasibility.solve(system)
     report = ch_report(state)
+    system = fine_system(state)
+    mixing = 0.0
+    if report.max_abs > 2.0 and not report.violated:
+        mixing = 1.0 - 2.0 / report.max_abs
+        rhs = (1.0 - mixing) * system.rhs + mixing * np.array([1.0] + [0.25] * 16)
+        system = feasibility.LinearSystem(_MARGINALIZATION, rhs)
+    result = feasibility.solve(system)
+    if (result.status == "infeasible") != report.violated:
+        raise InternalConsistencyError(
+            f"the joint-distribution solve is {result.status} at |S| = {report.max_abs!r}"
+        )
     if result.status == "feasible":
         joint = {key: float(p) for key, p in zip(JOINT_KEYS, result.point)}
-        return FineResult("feasible", MappingProxyType(joint), None, report, system)
+        return FineResult("feasible", MappingProxyType(joint), None, report, system, mixing)
     result.certificate.setflags(write=False)
-    return FineResult("infeasible", None, result.certificate, report, system)
+    return FineResult("infeasible", None, result.certificate, report, system, mixing)
 
 
 def _born_weights(state: np.ndarray, context: Context) -> np.ndarray:
@@ -302,7 +316,7 @@ def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
     ).ravel()
     # one row per joint key (consistent_pair_outcomes keeps their order),
     # each repeated for the 16 (B, B') outcome pairs
-    wing_ids, wings = _SIDE_IDS, JOINT_KEYS
+    wing_ids, wings = SIDE_IDS, JOINT_KEYS
     if realization_index == 2:
         wing_ids = ("Lzz", "Lxx", "Lzx", "Lxz")
         wings = [[pair[pid] for pid in wing_ids] for pair in consistent_pair_outcomes()]
@@ -326,20 +340,17 @@ class StatisticsReport:
     passed: bool
 
 
-def reproduce_statistics(
-    model: HVModel, state: np.ndarray, *, tolerance: float | None = None
-) -> StatisticsReport:
+def reproduce_statistics(model: HVModel, state: np.ndarray) -> StatisticsReport:
     """Compare every physical measurement's model marginal with the Born rule.
 
     For realization 3 the four measurable one-wing pair joints are checked
     as well (for realization 2 those joints are the pair measurements'
-    own distributions).  The default tolerance is 1e-12 for model 1, whose
+    own distributions).  The tolerance is 1e-12 for model 1, whose
     marginals are exact products, and 1e-9 for models 2/3, whose joints
     come out of the feasibility solver.
     """
     state = ket(state)
-    if tolerance is None:
-        tolerance = 1e-12 if model.realization_index == 1 else 1e-9
+    tolerance = 1e-12 if model.realization_index == 1 else 1e-9
     realization = build_realization(model.realization_index)
     deviations: dict[str, float] = {}
     for mid in model.measurement_ids:
@@ -352,7 +363,7 @@ def reproduce_statistics(
     if model.realization_index == 3:
         born_joints = quantum_pair_joints(state)
         for pair in PAIR_AXES:
-            id_a, id_b = (_SIDE_IDS[slot] for slot in _PAIR_SLOTS[pair])
+            id_a, id_b = (SIDE_IDS[slot] for slot in _PAIR_SLOTS[pair])
             joint = model.joint_marginal(id_a, id_b)
             pair_deviations[f"{id_a},{id_b}"] = max(
                 abs(joint.get(key, 0.0) - p) for key, p in born_joints[pair].items()
@@ -618,7 +629,9 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
 
     Randomness comes from NumPy's Philox counter-based generator keyed by
     ``seed``; the s-th variate of that stream decides shot s, so runs are
-    reproducible across platforms and shardable by counter offset.  The
+    reproducible across platforms and shardable by counter offset: as
+    ``advance(1)`` skips 4 variates, shard offsets k are multiples of 4 and
+    a shard starts from ``Philox(key=seed).advance(k // 4)``.  The
     variates are streamed in fixed-size chunks and mapped to hidden states
     by an exact guide-table lookup on the cumulative weights, so memory per
     call is O(chunk + states) for any ``shots``.  The pass flag checks

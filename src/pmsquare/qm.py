@@ -97,13 +97,13 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def is_normalized(state: np.ndarray, *, atol: float = NORM_ATOL) -> bool:
-    return abs(float(np.linalg.norm(state)) - 1.0) <= atol
+def is_normalized(state: np.ndarray) -> bool:
+    return abs(float(np.linalg.norm(state)) - 1.0) <= NORM_ATOL
 
 
-def is_hermitian(op: np.ndarray, *, atol: float = VERIFY_ATOL) -> bool:
+def is_hermitian(op: np.ndarray) -> bool:
     op = np.asarray(op)
-    return op.shape == (4, 4) and bool(np.max(np.abs(op - op.conj().T)) <= atol)
+    return op.shape == (4, 4) and bool(np.max(np.abs(op - op.conj().T)) <= VERIFY_ATOL)
 
 
 def born_probability(state: np.ndarray, eigenvector: np.ndarray) -> float:

@@ -78,7 +78,8 @@ _SIDE_SPEC = {
 _BELL_FUNCTIONS = {"B": ("f", "g", "h"), "Bprime": ("fp", "gp", "hp")}
 
 _PAIR_OUTCOME_IDS = ("Lzz", "Lxx", "Lzx", "Lxz")
-_SIDE_OUTCOME_IDS = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
+#: The one-wing measurement ids, in the slot order of a one-wing value tuple.
+SIDE_IDS = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
 
 
 @dataclass(frozen=True)
@@ -263,10 +264,10 @@ def build_realization(index: int) -> Realization:
             frozenset({"l(Lxx)", "l(Lxz)"}),
         )
     elif index == 3:
-        physicals = {mid: _side_measurement(mid) for mid in _SIDE_OUTCOME_IDS}
+        physicals = {mid: _side_measurement(mid) for mid in SIDE_IDS}
         physicals["B"] = _four_outcome_measurement("B")
         physicals["Bprime"] = _four_outcome_measurement("Bprime")
-        derived_list = [_side_derived(mid) for mid in _SIDE_OUTCOME_IDS]
+        derived_list = [_side_derived(mid) for mid in SIDE_IDS]
         derived_list += [_table_derived(fn, "B") for fn in ("f", "g", "h")]
         derived_list += [_table_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
         cell_map = {
@@ -473,7 +474,7 @@ def translate_outcomes(pair_outcomes: Mapping[str, int]) -> dict[str, int]:
     """
     if set(pair_outcomes) != set(_PAIR_OUTCOME_IDS):
         raise ValueError(f"expected outcomes for exactly {_PAIR_OUTCOME_IDS}")
-    implied: dict[str, dict[str, int]] = {sid: {} for sid in _SIDE_OUTCOME_IDS}
+    implied: dict[str, dict[str, int]] = {sid: {} for sid in SIDE_IDS}
     for pid in _PAIR_OUTCOME_IDS:
         outcome = pair_outcomes[pid]
         if outcome not in (1, 2, 3, 4):
@@ -485,7 +486,7 @@ def translate_outcomes(pair_outcomes: Mapping[str, int]) -> dict[str, int]:
         implied[left_id][pid] = values[left_pos]
         implied[right_id][pid] = values[right_pos]
     out: dict[str, int] = {}
-    for sid in _SIDE_OUTCOME_IDS:
+    for sid in SIDE_IDS:
         sources = implied[sid]
         if len(set(sources.values())) > 1:
             a, b = sorted(sources)
@@ -499,8 +500,8 @@ def translate_outcomes(pair_outcomes: Mapping[str, int]) -> dict[str, int]:
 
 def translate_outcomes_inverse(side_outcomes: Mapping[str, int]) -> dict[str, int]:
     """Convert four one-wing +/-1 values back to pair-measurement outcome indices."""
-    if set(side_outcomes) != set(_SIDE_OUTCOME_IDS):
-        raise ValueError(f"expected outcomes for exactly {_SIDE_OUTCOME_IDS}")
+    if set(side_outcomes) != set(SIDE_IDS):
+        raise ValueError(f"expected outcomes for exactly {SIDE_IDS}")
     for sid, value in side_outcomes.items():
         if value not in (1, -1):
             raise ValueError(f"{sid}: outcome must be +1 or -1, got {value!r}")
@@ -525,10 +526,10 @@ def consistent_pair_outcomes() -> list[dict[str, int]]:
     """The 16 consistent pair-outcome tuples, one per one-wing value tuple.
 
     They follow ``itertools.product((1, -1), repeat=4)`` over the wing
-    values (Ll_z, Lr_z, Ll_x, Lr_x).
+    values in ``SIDE_IDS`` order.
     """
     tuples = []
     for values in itertools.product((1, -1), repeat=4):
-        side = dict(zip(_SIDE_OUTCOME_IDS, values))
+        side = dict(zip(SIDE_IDS, values))
         tuples.append(translate_outcomes_inverse(side))
     return tuples

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from pmsquare.hvmodels import ch_report, chsh_max_state
+from pmsquare.square import NAMED_STATES
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,3 +48,32 @@ def random_product_states(count: int, seed: int) -> list[np.ndarray]:
         b = rng.normal(size=2) + 1j * rng.normal(size=2)
         states.append(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
     return states
+
+
+def boundary_point(t: float) -> np.ndarray:
+    """The unit state along cos t * chsh-max + sin t * psi1."""
+    v = math.cos(t) * chsh_max_state() + math.sin(t) * NAMED_STATES["psi1"]
+    return v / np.linalg.norm(v)
+
+
+def boundary_crossing(lo: float, hi: float) -> float:
+    """The t in [lo, hi] where |S| crosses 2 on the ``boundary_point`` path."""
+
+    def excess(t):
+        return ch_report(boundary_point(t)).max_abs - 2.0
+
+    rising = excess(lo) < 0.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if (excess(mid) < 0.0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def boundary_slope(t: float) -> float:
+    """d|S|/dt on the ``boundary_point`` path at t, by a central difference."""
+    ahead = ch_report(boundary_point(t + 1e-6)).max_abs
+    behind = ch_report(boundary_point(t - 1e-6)).max_abs
+    return (ahead - behind) / 2e-6

@@ -121,8 +121,8 @@ def test_criterion_04_model1_statistics():
     ok = len(NAMED_STATES) == 24
     for state in states:
         model = build_model1(state)
-        stats = reproduce_statistics(model, state, tolerance=1e-12)
-        ok = ok and stats.passed
+        stats = reproduce_statistics(model, state)
+        ok = ok and stats.passed and stats.tolerance == 1e-12
         total = sum(s.probability for s in model.states)
         ok = ok and abs(total - 1.0) <= 1e-12
     announce(4, "model-1 statistics on 124 states", ok)
@@ -162,8 +162,8 @@ def test_criterion_06_model23_statistics(nonviolating_states):
     for state in nonviolating_states:
         for index in (2, 3):
             model = build_model23(state, index)
-            stats = reproduce_statistics(model, state, tolerance=1e-9)
-            ok = ok and stats.passed
+            stats = reproduce_statistics(model, state)
+            ok = ok and stats.passed and stats.tolerance == 1e-9
             ok = ok and len(model.states) == 256
             ok = ok and abs(sum(s.probability for s in model.states) - 1.0) <= 1e-9
     announce(6, "model-2/3 statistics on 200 states", ok)

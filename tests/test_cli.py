@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from pmsquare.cli import main, resolve_state
 
+from conftest import boundary_crossing, boundary_point, boundary_slope
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
 )
@@ -236,6 +238,22 @@ def test_internal_consistency_error_is_one_line_not_a_traceback(monkeypatch, cap
     assert captured.out == ""
     assert captured.err == "pmsquare: internal consistency error: identified readouts disagree\n"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("index", ["2", "3"])
+def test_model_in_the_chsh_slack_above_two_is_built(tmp_path, capsys, index):
+    # |S| - 2 ~ 7e-10 is not a violation for the CHSH report, so the model
+    # is built from the Born joints mixed slightly toward the uniform joint
+    crossing = boundary_crossing(1.0, 1.02)
+    state = boundary_point(crossing + 7e-10 / boundary_slope(crossing))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in state]}))
+    code, document = run_json(capsys, "model", index, "--state", str(path))
+    results = document["results"]
+    assert code == 0 and document["pass"]
+    assert not results["ch"]["violated"] and 0.0 < results["ch"]["max_abs"] - 2.0 <= 1e-9
+    assert results["fine"]["status"] == "feasible" and results["fine"]["mixing"] > 0.0
+    assert results["statistics"]["passed"]
 
 
 def test_resolve_named_states():

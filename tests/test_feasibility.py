@@ -30,14 +30,14 @@ def _verify(system: LinearSystem, result: FeasibilityResult) -> None:
 
 
 def test_single_variable_feasible():
-    system = LinearSystem.from_rows(1, [([1.0], 1.0)])
+    system = LinearSystem(np.array([[1.0]]), np.array([1.0]))
     result = solve(system)
     assert result.status == "feasible"
     assert np.array_equal(result.point, np.array([1.0]))
 
 
 def test_single_variable_infeasible_with_unit_certificate():
-    system = LinearSystem.from_rows(1, [([1.0], -1.0)])
+    system = LinearSystem(np.array([[1.0]]), np.array([-1.0]))
     result = solve(system)
     assert result.status == "infeasible"
     assert np.array_equal(result.certificate, np.array([-1.0]))
@@ -45,14 +45,14 @@ def test_single_variable_infeasible_with_unit_certificate():
 
 
 def test_contradictory_rows_are_infeasible():
-    system = LinearSystem.from_rows(2, [([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)])
+    system = LinearSystem(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
     result = solve(system)
     assert result.status == "infeasible"
     _verify(system, result)
 
 
 def test_redundant_rows_are_fine():
-    system = LinearSystem.from_rows(2, [([1.0, 1.0], 1.0), ([2.0, 2.0], 2.0)])
+    system = LinearSystem(np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0]))
     result = solve(system)
     assert result.status == "feasible"
     _verify(system, result)
@@ -66,7 +66,7 @@ def test_empty_system_is_feasible():
 
 
 def test_zero_row_with_nonzero_rhs_is_infeasible():
-    system = LinearSystem.from_rows(2, [([0.0, 0.0], 1.0)])
+    system = LinearSystem(np.array([[0.0, 0.0]]), np.array([1.0]))
     result = solve(system)
     assert result.status == "infeasible"
     _verify(system, result)
@@ -74,11 +74,23 @@ def test_zero_row_with_nonzero_rhs_is_infeasible():
 
 def test_malformed_rows_raise():
     with pytest.raises(ValueError):
-        LinearSystem.from_rows(2, [([1.0], 1.0)])
-    with pytest.raises(ValueError):
         LinearSystem(np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
         LinearSystem(np.array([[np.inf, 0.0]]), np.array([1.0]))
+
+
+def test_system_arrays_are_read_only_copies():
+    a = np.array([[1.0, 2.0]])
+    b = np.array([3.0])
+    system = LinearSystem(a, b)
+    a[0, 0] = b[0] = 7.0
+    assert system.coefficients.tolist() == [[1.0, 2.0]] and system.rhs.tolist() == [3.0]
+    with pytest.raises(ValueError):
+        system.coefficients[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        system.rhs[0] = 0.0
+    shared = LinearSystem(system.coefficients, system.rhs)
+    assert not np.shares_memory(shared.coefficients, system.coefficients)
 
 
 def test_constructed_feasible_systems():
@@ -130,7 +142,7 @@ def test_determinism_bitwise():
     a = rng.normal(size=(5, 8))
     x0 = rng.uniform(size=8)
     feasible = LinearSystem(a, a @ x0)
-    infeasible = LinearSystem.from_rows(2, [([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)])
+    infeasible = LinearSystem(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
     first = solve(feasible)
     second = solve(feasible)
     assert first.point.tobytes() == second.point.tobytes()

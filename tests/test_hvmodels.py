@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,6 +13,8 @@ from pmsquare import hvmodels
 from pmsquare.errors import InfeasibleModelError, InternalConsistencyError
 from pmsquare.hvmodels import (
     _GUIDE_BUCKETS,
+    _MARGINALIZATION,
+    _SAMPLE_CHUNK,
     _tally,
     JOINT_KEYS,
     PAIR_AXES,
@@ -32,7 +35,7 @@ from pmsquare.qm import apply, pauli_tensor
 from pmsquare.realizations import build_realization, cell_classes, translate_outcomes_inverse
 from pmsquare.square import CONTEXTS, NAMED_STATES, admissible_triples, context_cells
 
-from conftest import random_states
+from conftest import boundary_crossing, boundary_point, boundary_slope, random_states
 
 PSI1 = NAMED_STATES["psi1"]
 SINGLET = NAMED_STATES["phiPP4"]
@@ -125,6 +128,30 @@ def test_fine_joint_psi1_reproduces_all_pair_joints():
             assert marg == pytest.approx(q, abs=1e-9)
 
 
+def _row_by_row_fine_system(state):
+    """The Fine system as it was built before the constant matrix: one row at a time."""
+    joints = quantum_pair_joints(state)
+    slots = {("z", "z"): (0, 1), ("z", "x"): (0, 3), ("x", "z"): (2, 1), ("x", "x"): (2, 3)}
+    rows = [([1.0] * len(JOINT_KEYS), 1.0)]
+    for pair in PAIR_AXES:
+        slot_a, slot_b = slots[pair]
+        for a, b in itertools.product((1, -1), repeat=2):
+            coeffs = [
+                1.0 if key[slot_a] == a and key[slot_b] == b else 0.0 for key in JOINT_KEYS
+            ]
+            rows.append((coeffs, joints[pair][(a, b)]))
+    return np.array([c for c, _ in rows], dtype=float), np.array([v for _, v in rows], dtype=float)
+
+
+def test_fine_system_matches_the_row_by_row_builder_bit_for_bit():
+    states = [*NAMED_STATES.values(), chsh_max_state(), *random_states(200, seed=2024)]
+    for state in states:
+        system = fine_system(state)
+        coefficients, rhs = _row_by_row_fine_system(state)
+        assert system.coefficients.tobytes() == coefficients.tobytes()
+        assert system.rhs.tobytes() == rhs.tobytes()
+
+
 def test_quarter_uniform_point_satisfies_the_psi1_system():
     system = fine_system(PSI1)
     quarter = np.array(
@@ -164,49 +191,44 @@ def test_fine_feasibility_matches_chsh_bound():
     assert checked >= 250
 
 
-def _boundary_crossing(lo, hi):
-    """The t in [lo, hi] where |S| crosses 2 on cos t * chsh-max + sin t * psi1."""
-
-    def excess(t):
-        return ch_report(_boundary_point(t)).max_abs - 2.0
-
-    rising = excess(lo) < 0.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if (excess(mid) < 0.0) == rising:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def _boundary_point(t):
-    v = math.cos(t) * chsh_max_state() + math.sin(t) * PSI1
-    return v / np.linalg.norm(v)
-
-
 def test_fine_feasibility_matches_chsh_bound_at_the_boundary():
-    # Fine's equivalence in the |S| = 2 band the corpus test skips: 400
-    # points at |S| - 2 = +-1e-8 .. +-9e-4 around both crossings of the path.
-    # Closer than ~1e-9 the LP refuses states that the 1e-9 CHSH slack
-    # still counts as unviolated, so the band stops at 1e-8.
-    offsets = np.geomspace(1e-8, 9e-4, 100)
+    # Fine's equivalence in the |S| = 2 band the corpus test skips: 600
+    # points at |S| - 2 = +-1e-12 .. +-9e-4 around both crossings of the
+    # path.  The LP refuses exactly the states the CHSH report flags, also
+    # in the report's 1e-9 slack above 2, where the solved joints are mixed
+    # toward the uniform joint and the model still passes its statistics.
+    offsets = np.geomspace(1e-12, 9e-4, 150)
     offsets = np.concatenate([-offsets, offsets])
-    statuses = []
+    statuses, mixed = [], 0
     for bracket in ((1.0, 1.02), (2.65, 2.67)):
-        crossing = _boundary_crossing(*bracket)
-        slope = (
-            ch_report(_boundary_point(crossing + 1e-6)).max_abs
-            - ch_report(_boundary_point(crossing - 1e-6)).max_abs
-        ) / 2e-6
+        crossing = boundary_crossing(*bracket)
+        slope = boundary_slope(crossing)
         for offset in offsets:
-            state = _boundary_point(crossing + offset / slope)
+            state = boundary_point(crossing + offset / slope)
             report = ch_report(state)
             assert abs(report.max_abs - 2.0) <= 1e-3
             result = fine_joint(state)
-            assert (result.status == "feasible") == (report.max_abs <= 2.0 + 1e-9)
+            assert (result.status == "infeasible") == report.violated
+            in_slack = 2.0 < report.max_abs and not report.violated
+            assert (result.mixing > 0.0) == in_slack
+            if in_slack:
+                assert result.mixing == 1.0 - 2.0 / report.max_abs <= 5e-10
+                for index in (2, 3):
+                    assert reproduce_statistics(build_model23(state, index), state).passed
+                mixed += 1
             statuses.append(result.status)
-    assert statuses.count("feasible") == statuses.count("infeasible") == 200
+    # per crossing: 150 offsets below 2, 50 in (2, 2 + 1e-9] and 100 above
+    assert statuses.count("feasible") == 400 and statuses.count("infeasible") == 200
+    assert mixed == 100
+
+
+def test_fine_verdict_that_contradicts_the_chsh_report_is_an_internal_error(monkeypatch):
+    report = ch_report(PSI1)
+    monkeypatch.setattr(
+        hvmodels, "ch_report", lambda state: dataclasses.replace(report, violated=True)
+    )
+    with pytest.raises(InternalConsistencyError, match="feasible"):
+        fine_joint(PSI1)
 
 
 def test_fine_results_are_read_only():
@@ -216,6 +238,14 @@ def test_fine_results_are_read_only():
     infeasible = fine_joint(chsh_max_state())
     with pytest.raises(ValueError):
         infeasible.certificate[0] = 0.0
+    # the coefficient matrix is shared by every system
+    with pytest.raises(ValueError):
+        _MARGINALIZATION[0, 0] = 0.0
+    for result in (feasible, infeasible):
+        with pytest.raises(ValueError):
+            result.system.coefficients[1, 1] = 0.5
+        with pytest.raises(ValueError):
+            result.system.rhs[0] = 0.5
 
 
 # --- model 1 -----------------------------------------------------------------
@@ -715,6 +745,31 @@ def test_sampling_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
             column = model.column(mid)
             assert sample.counts == {
                 outcome: int(state_counts[column == outcome].sum()) for outcome in sample.counts
+            }
+
+
+def test_sampling_shards_at_a_multiple_of_four_add_up_to_one_run():
+    # Philox.advance(1) skips 4 variates, so a shard at offset k (a multiple
+    # of 4) starts from advance(k // 4); offsets 1..3 past it are unreachable
+    shots, seed, offset = 2 * _SAMPLE_CHUNK + 100, 23, 4 * 12_345
+    assert offset % 4 == 0 and offset % _SAMPLE_CHUNK != 0
+
+    def stream(step):
+        return np.random.Generator(np.random.Philox(key=np.uint64(seed)).advance(step))
+
+    assert np.array_equal(stream(1).random(8), stream(0).random(12)[4:])
+    state = random_states(1, seed=78)[0]
+    for model in _models_for(state):
+        probabilities = np.maximum(model.probabilities, 0.0)
+        cumulative = np.cumsum(probabilities / probabilities.sum())
+        first = _tally(cumulative, [stream(0).random(offset)])
+        second = _tally(cumulative, [stream(offset // 4).random(shots - offset)])
+        report = sample_model(model, state, shots, seed)
+        for mid, sample in report.measurements.items():
+            column = model.column(mid)
+            assert sample.counts == {
+                outcome: int(first[column == outcome].sum() + second[column == outcome].sum())
+                for outcome in sample.counts
             }
 
 
