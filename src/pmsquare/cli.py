@@ -220,8 +220,7 @@ def cmd_contradiction(constraint_names: list[str] | None) -> Report:
             f"{sign:+d}": count
             for sign, count in third_column_product_counts(survivors).items()
         }
-    full_set = len(active) == len(CONTEXTS) and set(active) == set(CONTEXTS)
-    if full_set:
+    if set(active) == set(CONTEXTS):
         # the parity view of the emptiness: the other five constraints force
         # the third-column product to +1 while column 2 demands -1
         relaxed = search_assignments([c for c in CONTEXTS if c != col2])

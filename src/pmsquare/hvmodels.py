@@ -44,7 +44,14 @@ from . import feasibility
 from .errors import InfeasibleModelError, InternalConsistencyError
 from .qm import VERIFY_ATOL, apply, born_probability, expectation, ket, pauli_tensor, side_projector
 from .square import CONTEXTS, Context, eigentable
-from .realizations import SIDE_IDS, Realization, build_realization, consistent_pair_outcomes
+from .realizations import (
+    MEASUREMENT_CONTEXTS,
+    PAIR_WINGS,
+    SIDE_IDS,
+    Realization,
+    build_realization,
+    consistent_pair_outcomes,
+)
 
 #: Hidden states with probability at or below this threshold are ignored
 #: by the witness scans.
@@ -114,7 +121,7 @@ class FineResult:
 class HiddenState:
     """One row of an ``HVModel`` table, as ``HVModel.states`` presents it."""
 
-    outcomes: dict[str, int]
+    outcomes: Mapping[str, int]
     probability: float
 
 
@@ -145,7 +152,7 @@ class HVModel:
     def states(self) -> tuple[HiddenState, ...]:
         """The rows of the table as ``HiddenState`` objects, built on first use."""
         return tuple(
-            HiddenState(dict(zip(self.measurement_ids, row)), probability)
+            HiddenState(MappingProxyType(dict(zip(self.measurement_ids, row))), probability)
             for row, probability in zip(self.outcomes.tolist(), self.probabilities.tolist())
         )
 
@@ -277,18 +284,20 @@ def fine_joint(state: np.ndarray) -> FineResult:
     return FineResult("infeasible", None, result.certificate, report, system, mixing)
 
 
-def _born_weights(state: np.ndarray, context: Context) -> np.ndarray:
-    """Born probabilities of the outcomes 1..4 of a context's eigenbasis measurement."""
-    return np.array([born_probability(state, e.vector) for e in eigentable(context).entries])
+def _born_weights(state: np.ndarray, measurement_id: str) -> np.ndarray:
+    """Born probabilities of the outcomes 1..4 of a four-outcome measurement."""
+    entries = eigentable(MEASUREMENT_CONTEXTS[measurement_id]).entries
+    return np.array([born_probability(state, e.vector) for e in entries])
 
 
 def build_model1(state: np.ndarray) -> HVModel:
     """Product model over the outcomes of Lzz, Lxx and B (64 hidden states)."""
     state = ket(state)
-    lzz, lxx, bell = (_born_weights(state, Context("row", i)) for i in range(3))
+    ids = ("Lzz", "Lxx", "B")
+    lzz, lxx, bell = (_born_weights(state, mid) for mid in ids)
     probabilities = np.multiply.outer(np.multiply.outer(lzz, lxx), bell).ravel()
     outcomes = list(itertools.product((1, 2, 3, 4), repeat=3))
-    return HVModel(1, ("Lzz", "Lxx", "B"), outcomes, probabilities)
+    return HVModel(1, ids, outcomes, probabilities)
 
 
 def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
@@ -311,14 +320,13 @@ def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
         )
     joint = np.array([fine.joint[key] for key in JOINT_KEYS])
     probabilities = np.multiply.outer(
-        np.multiply.outer(joint, _born_weights(state, Context("row", 2))),
-        _born_weights(state, Context("column", 2)),
+        np.multiply.outer(joint, _born_weights(state, "B")), _born_weights(state, "Bprime")
     ).ravel()
     # one row per joint key (consistent_pair_outcomes keeps their order),
     # each repeated for the 16 (B, B') outcome pairs
     wing_ids, wings = SIDE_IDS, JOINT_KEYS
     if realization_index == 2:
-        wing_ids = ("Lzz", "Lxx", "Lzx", "Lxz")
+        wing_ids = tuple(PAIR_WINGS)
         wings = [[pair[pid] for pid in wing_ids] for pair in consistent_pair_outcomes()]
     bell = list(itertools.product((1, 2, 3, 4), repeat=2))
     outcomes = np.hstack([np.repeat(wings, 16, axis=0), np.tile(bell, (16, 1))])
@@ -415,7 +423,7 @@ class ContextWitness:
     context: Context
     measurement_ids: tuple[str, str, str]
     state_index: int
-    outcomes: dict[str, int]
+    outcomes: Mapping[str, int]
     triple: tuple[int, int, int]
     probability: float
 
@@ -427,7 +435,7 @@ class CellWitness:
     cell: tuple[int, int]
     measurement_ids: tuple[str, str]
     state_index: int
-    outcomes: dict[str, int]
+    outcomes: Mapping[str, int]
     values: tuple[int, int]
     probability: float
 
@@ -508,11 +516,12 @@ class WitnessReport:
                 states = states[: max(cap - taken.get(block.group, 0), 0)]
                 taken[block.group] = taken.get(block.group, 0) + len(states)
             rows = self.model.outcomes[states].tolist()
+            outcomes = [MappingProxyType(dict(zip(ids, row))) for row in rows]
             weights = self.model.probabilities[states].tolist()
             values = block.values[: len(states)].tolist()
             witnesses += [
-                kind(block.group, block.measurement_ids, state, dict(zip(ids, row)), tuple(v), w)
-                for state, row, v, w in zip(states.tolist(), rows, values, weights)
+                kind(block.group, block.measurement_ids, state, mapping, tuple(v), w)
+                for state, mapping, v, w in zip(states.tolist(), outcomes, values, weights)
             ]
         return tuple(witnesses)
 

@@ -17,6 +17,13 @@ under the declared one-wing identifications, five do not).  Realization 3
 splits the polarization measurements into single wings (Ll_z, Lr_z, Ll_x,
 Lr_x) plus B and B', failing both uniqueness and simultaneity.
 
+A realization is declared by its cell map and its identifications alone:
+``build_realization`` builds each derived measurement from its id and each
+physical measurement once per parent the ids name.  ``MEASUREMENT_CONTEXTS``
+gives the context whose eigenbasis each four-outcome measurement projects
+onto, and ``PAIR_WINGS`` the (left, right) one-wing measurements each pair
+polarization measurement resolves into.
+
 Simultaneity here is structural: two derived measurements are
 simultaneously measurable iff they are functions of one physical
 measurement or are declared identical.  ``check_requirements`` asks the
@@ -47,26 +54,39 @@ from .square import (
 )
 
 #: Context whose eigenbasis each four-outcome measurement projects onto.
-_MEASUREMENT_CONTEXTS = {
-    "Lzz": Context("row", 0),
-    "Lxx": Context("row", 1),
-    "B": Context("row", 2),
-    "Lzx": Context("column", 0),
-    "Lxz": Context("column", 1),
-    "Bprime": Context("column", 2),
+MEASUREMENT_CONTEXTS = MappingProxyType(
+    {
+        "Lzz": Context("row", 0),
+        "Lxx": Context("row", 1),
+        "B": Context("row", 2),
+        "Lzx": Context("column", 0),
+        "Lxz": Context("column", 1),
+        "Bprime": Context("column", 2),
+    }
+)
+
+#: Readout functions of each four-outcome measurement, in the slot order of
+#: its context's value triples: l/r/t read the left wing, the right wing and
+#: their product, f/g/h (fp/gp/hp) the eigenvalues of a Bell outcome.
+_READOUTS = {
+    "Lzz": ("l", "r", "t"),
+    "Lxx": ("r", "l", "t"),
+    "Lzx": ("l", "r", "t"),
+    "Lxz": ("r", "l", "t"),
+    "B": ("f", "g", "h"),
+    "Bprime": ("fp", "gp", "hp"),
 }
 
-#: For the pair polarization measurements: positions of the left-wing and
-#: right-wing single-operator columns inside the context's value triples.
-_L_SIDE_POS = {"Lzz": (0, 1), "Lxx": (1, 0), "Lzx": (0, 1), "Lxz": (1, 0)}
-
-#: The one-wing measurements a pair measurement resolves into.
-_L_SIDE_IDS = {
-    "Lzz": ("Ll_z", "Lr_z"),
-    "Lxx": ("Ll_x", "Lr_x"),
-    "Lzx": ("Ll_z", "Lr_x"),
-    "Lxz": ("Ll_x", "Lr_z"),
-}
+#: The one-wing measurements (left, right) a pair polarization measurement
+#: resolves into.
+PAIR_WINGS = MappingProxyType(
+    {
+        "Lzz": ("Ll_z", "Lr_z"),
+        "Lxx": ("Ll_x", "Lr_x"),
+        "Lzx": ("Ll_z", "Lr_x"),
+        "Lxz": ("Ll_x", "Lr_z"),
+    }
+)
 
 _SIDE_SPEC = {
     "Ll_z": ("Z", "left"),
@@ -75,11 +95,60 @@ _SIDE_SPEC = {
     "Lr_x": ("X", "right"),
 }
 
-_BELL_FUNCTIONS = {"B": ("f", "g", "h"), "Bprime": ("fp", "gp", "hp")}
-
-_PAIR_OUTCOME_IDS = ("Lzz", "Lxx", "Lzx", "Lxz")
 #: The one-wing measurement ids, in the slot order of a one-wing value tuple.
-SIDE_IDS = ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
+SIDE_IDS = tuple(_SIDE_SPEC)
+
+#: The derived measurements realizing each cell, per realization.  A derived
+#: id is a one-wing id (its own readout) or ``fn(parent)``, readout fn of
+#: the four-outcome measurement parent; the physical measurements are the
+#: parents the ids name.
+_CELL_MAPS = {
+    1: {
+        (0, 0): ("l(Lzz)",),
+        (0, 1): ("r(Lzz)",),
+        (0, 2): ("t(Lzz)",),
+        (1, 0): ("r(Lxx)",),
+        (1, 1): ("l(Lxx)",),
+        (1, 2): ("t(Lxx)",),
+        (2, 0): ("f(B)",),
+        (2, 1): ("g(B)",),
+        (2, 2): ("h(B)",),
+    },
+    2: {
+        (0, 0): ("l(Lzz)", "l(Lzx)"),
+        (0, 1): ("r(Lzz)", "r(Lxz)"),
+        (0, 2): ("t(Lzz)", "fp(Bprime)"),
+        (1, 0): ("r(Lxx)", "r(Lzx)"),
+        (1, 1): ("l(Lxx)", "l(Lxz)"),
+        (1, 2): ("t(Lxx)", "gp(Bprime)"),
+        (2, 0): ("f(B)", "t(Lzx)"),
+        (2, 1): ("g(B)", "t(Lxz)"),
+        (2, 2): ("h(B)", "hp(Bprime)"),
+    },
+    3: {
+        (0, 0): ("Ll_z",),
+        (0, 1): ("Lr_z",),
+        (0, 2): ("fp(Bprime)",),
+        (1, 0): ("Lr_x",),
+        (1, 1): ("Ll_x",),
+        (1, 2): ("gp(Bprime)",),
+        (2, 0): ("f(B)",),
+        (2, 1): ("g(B)",),
+        (2, 2): ("h(B)", "hp(Bprime)"),
+    },
+}
+
+#: Derived measurements declared identical, per realization (none if absent).
+_IDENTIFICATIONS = {
+    # one-wing readouts of different pair measurements do the same thing
+    # on that wing, so they count as the same measurement
+    2: (
+        frozenset({"l(Lzz)", "l(Lzx)"}),
+        frozenset({"r(Lzz)", "r(Lxz)"}),
+        frozenset({"r(Lxx)", "r(Lzx)"}),
+        frozenset({"l(Lxx)", "l(Lxz)"}),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -173,128 +242,49 @@ def _verify_resolution(measurement: PhysicalMeasurement) -> None:
         raise InternalConsistencyError(f"{measurement.id}: projectors do not sum to identity")
 
 
-def _four_outcome_measurement(meas_id: str) -> PhysicalMeasurement:
-    table = eigentable(_MEASUREMENT_CONTEXTS[meas_id])
-    measurement = PhysicalMeasurement(
-        id=meas_id,
-        outcomes=(1, 2, 3, 4),
-        projectors=tuple(projector(entry.vector) for entry in table.entries),
-    )
-    _verify_resolution(measurement)
-    return measurement
-
-
-def _side_measurement(meas_id: str) -> PhysicalMeasurement:
-    axis, side = _SIDE_SPEC[meas_id]
-    measurement = PhysicalMeasurement(
-        id=meas_id,
-        outcomes=(1, -1),
-        projectors=(side_projector(axis, +1, side), side_projector(axis, -1, side)),
-    )
-    _verify_resolution(measurement)
-    return measurement
-
-
-def _table_derived(function: str, meas_id: str) -> DerivedMeasurement:
-    """l/r/t of a pair polarization or f/g/h (fp/gp/hp) of a Bell measurement."""
-    table = eigentable(_MEASUREMENT_CONTEXTS[meas_id])
-    if meas_id in _BELL_FUNCTIONS:
-        pos = _BELL_FUNCTIONS[meas_id].index(function)
+def _physical(meas_id: str) -> PhysicalMeasurement:
+    """A one-wing measurement (outcomes +/-1) or a context's eigenbasis measurement (1..4)."""
+    if meas_id in _SIDE_SPEC:
+        axis, side = _SIDE_SPEC[meas_id]
+        outcomes = (1, -1)
+        projectors = (side_projector(axis, +1, side), side_projector(axis, -1, side))
     else:
-        left_pos, right_pos = _L_SIDE_POS[meas_id]
-        pos = {"l": left_pos, "r": right_pos, "t": 2}[function]
+        outcomes = (1, 2, 3, 4)
+        table = eigentable(MEASUREMENT_CONTEXTS[meas_id])
+        projectors = tuple(projector(entry.vector) for entry in table.entries)
+    measurement = PhysicalMeasurement(meas_id, outcomes, projectors)
+    _verify_resolution(measurement)
+    return measurement
+
+
+def _derived(derived_id: str) -> DerivedMeasurement:
+    """A one-wing id, or ``fn(parent)`` read through the parent's eigentable."""
+    if derived_id in _SIDE_SPEC:
+        # a one-wing measurement is its own +/-1 readout
+        return DerivedMeasurement(derived_id, derived_id, MappingProxyType({1: 1, -1: -1}))
+    function, parent = derived_id.removesuffix(")").split("(")
+    pos = _READOUTS[parent].index(function)
+    table = eigentable(MEASUREMENT_CONTEXTS[parent])
     outcome_map = {o: table.entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
-    return DerivedMeasurement(f"{function}({meas_id})", meas_id, MappingProxyType(outcome_map))
-
-
-def _side_derived(meas_id: str) -> DerivedMeasurement:
-    # a one-wing measurement is its own +/-1 readout
-    return DerivedMeasurement(meas_id, meas_id, MappingProxyType({1: 1, -1: -1}))
+    return DerivedMeasurement(derived_id, parent, MappingProxyType(outcome_map))
 
 
 @lru_cache(maxsize=None)
 def build_realization(index: int) -> Realization:
-    """Measurement tables for realization 1, 2 or 3."""
-    if index == 1:
-        physicals = {mid: _four_outcome_measurement(mid) for mid in ("Lzz", "Lxx", "B")}
-        derived_list = [
-            _table_derived(fn, mid) for mid in ("Lzz", "Lxx") for fn in ("l", "r", "t")
-        ] + [_table_derived(fn, "B") for fn in ("f", "g", "h")]
-        cell_map = {
-            (0, 0): ("l(Lzz)",),
-            (0, 1): ("r(Lzz)",),
-            (0, 2): ("t(Lzz)",),
-            (1, 0): ("r(Lxx)",),
-            (1, 1): ("l(Lxx)",),
-            (1, 2): ("t(Lxx)",),
-            (2, 0): ("f(B)",),
-            (2, 1): ("g(B)",),
-            (2, 2): ("h(B)",),
-        }
-        identifications: tuple[frozenset[str], ...] = ()
-    elif index == 2:
-        physicals = {
-            mid: _four_outcome_measurement(mid)
-            for mid in ("Lzz", "Lxx", "Lzx", "Lxz", "B", "Bprime")
-        }
-        derived_list = [
-            _table_derived(fn, mid)
-            for mid in ("Lzz", "Lxx", "Lzx", "Lxz")
-            for fn in ("l", "r", "t")
-        ]
-        derived_list += [_table_derived(fn, "B") for fn in ("f", "g", "h")]
-        derived_list += [_table_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
-        cell_map = {
-            (0, 0): ("l(Lzz)", "l(Lzx)"),
-            (0, 1): ("r(Lzz)", "r(Lxz)"),
-            (0, 2): ("t(Lzz)", "fp(Bprime)"),
-            (1, 0): ("r(Lxx)", "r(Lzx)"),
-            (1, 1): ("l(Lxx)", "l(Lxz)"),
-            (1, 2): ("t(Lxx)", "gp(Bprime)"),
-            (2, 0): ("f(B)", "t(Lzx)"),
-            (2, 1): ("g(B)", "t(Lxz)"),
-            (2, 2): ("h(B)", "hp(Bprime)"),
-        }
-        # one-wing readouts of different pair measurements do the same thing
-        # on that wing, so they count as the same measurement
-        identifications = (
-            frozenset({"l(Lzz)", "l(Lzx)"}),
-            frozenset({"r(Lzz)", "r(Lxz)"}),
-            frozenset({"r(Lxx)", "r(Lzx)"}),
-            frozenset({"l(Lxx)", "l(Lxz)"}),
-        )
-    elif index == 3:
-        physicals = {mid: _side_measurement(mid) for mid in SIDE_IDS}
-        physicals["B"] = _four_outcome_measurement("B")
-        physicals["Bprime"] = _four_outcome_measurement("Bprime")
-        derived_list = [_side_derived(mid) for mid in SIDE_IDS]
-        derived_list += [_table_derived(fn, "B") for fn in ("f", "g", "h")]
-        derived_list += [_table_derived(fn, "Bprime") for fn in ("fp", "gp", "hp")]
-        cell_map = {
-            (0, 0): ("Ll_z",),
-            (0, 1): ("Lr_z",),
-            (0, 2): ("fp(Bprime)",),
-            (1, 0): ("Lr_x",),
-            (1, 1): ("Ll_x",),
-            (1, 2): ("gp(Bprime)",),
-            (2, 0): ("f(B)",),
-            (2, 1): ("g(B)",),
-            (2, 2): ("h(B)", "hp(Bprime)"),
-        }
-        identifications = ()
-    else:
+    """Measurement tables for realization 1, 2 or 3, built from its cell map."""
+    if index not in _CELL_MAPS:
         raise ValueError(f"realization index must be 1, 2 or 3, got {index!r}")
-
-    derived = {d.id: d for d in derived_list}
-    for cell, ids in cell_map.items():
-        for did in ids:
-            if did not in derived:
-                raise InternalConsistencyError(f"cell {cell} references unknown {did!r}")
-    for d in derived.values():
-        if d.parent not in physicals:
-            raise InternalConsistencyError(f"{d.id} references unknown parent {d.parent!r}")
-    physicals, derived, cell_map = map(MappingProxyType, (physicals, derived, cell_map))
-    return Realization(index, physicals, derived, cell_map, identifications)
+    cell_map = _CELL_MAPS[index]
+    derived = {did: _derived(did) for ids in cell_map.values() for did in ids}
+    # each parent once, in cell-map order
+    physicals = {mid: _physical(mid) for mid in dict.fromkeys(d.parent for d in derived.values())}
+    return Realization(
+        index,
+        MappingProxyType(physicals),
+        MappingProxyType(derived),
+        MappingProxyType(cell_map),
+        _IDENTIFICATIONS.get(index, ()),
+    )
 
 
 def derived_outcome(measurement: DerivedMeasurement, parent_outcome: int) -> int:
@@ -464,6 +454,14 @@ def derived_born_distribution(
 # --- outcome translation between realizations 2 and 3 ----------------------
 
 
+@lru_cache(maxsize=None)
+def _wing_values(pair_id: str, outcome: int) -> tuple[int, int]:
+    """The (left, right) wing values a pair polarization outcome 1..4 implies."""
+    values = eigentable(MEASUREMENT_CONTEXTS[pair_id]).entries[outcome - 1].values
+    readouts = _READOUTS[pair_id]
+    return values[readouts.index("l")], values[readouts.index("r")]
+
+
 def translate_outcomes(pair_outcomes: Mapping[str, int]) -> dict[str, int]:
     """Convert the four pair-measurement outcome indices to one-wing values.
 
@@ -472,19 +470,15 @@ def translate_outcomes(pair_outcomes: Mapping[str, int]) -> dict[str, int]:
     same +/-1 value there.  Inconsistent tuples raise ValueError naming the
     clashing measurements.
     """
-    if set(pair_outcomes) != set(_PAIR_OUTCOME_IDS):
-        raise ValueError(f"expected outcomes for exactly {_PAIR_OUTCOME_IDS}")
+    if set(pair_outcomes) != set(PAIR_WINGS):
+        raise ValueError(f"expected outcomes for exactly {tuple(PAIR_WINGS)}")
     implied: dict[str, dict[str, int]] = {sid: {} for sid in SIDE_IDS}
-    for pid in _PAIR_OUTCOME_IDS:
+    for pid, wing_ids in PAIR_WINGS.items():
         outcome = pair_outcomes[pid]
         if outcome not in (1, 2, 3, 4):
             raise ValueError(f"{pid}: outcome must be 1..4, got {outcome!r}")
-        table = eigentable(_MEASUREMENT_CONTEXTS[pid])
-        left_pos, right_pos = _L_SIDE_POS[pid]
-        left_id, right_id = _L_SIDE_IDS[pid]
-        values = table.entries[outcome - 1].values
-        implied[left_id][pid] = values[left_pos]
-        implied[right_id][pid] = values[right_pos]
+        for sid, value in zip(wing_ids, _wing_values(pid, outcome)):
+            implied[sid][pid] = value
     out: dict[str, int] = {}
     for sid in SIDE_IDS:
         sources = implied[sid]
@@ -506,16 +500,9 @@ def translate_outcomes_inverse(side_outcomes: Mapping[str, int]) -> dict[str, in
         if value not in (1, -1):
             raise ValueError(f"{sid}: outcome must be +1 or -1, got {value!r}")
     out: dict[str, int] = {}
-    for pid in _PAIR_OUTCOME_IDS:
-        table = eigentable(_MEASUREMENT_CONTEXTS[pid])
-        left_pos, right_pos = _L_SIDE_POS[pid]
-        left_id, right_id = _L_SIDE_IDS[pid]
-        matches = [
-            o
-            for o in (1, 2, 3, 4)
-            if table.entries[o - 1].values[left_pos] == side_outcomes[left_id]
-            and table.entries[o - 1].values[right_pos] == side_outcomes[right_id]
-        ]
+    for pid, (left, right) in PAIR_WINGS.items():
+        wings = (side_outcomes[left], side_outcomes[right])
+        matches = [o for o in (1, 2, 3, 4) if _wing_values(pid, o) == wings]
         if len(matches) != 1:
             raise InternalConsistencyError(f"{pid}: wing values do not index a unique outcome")
         out[pid] = matches[0]

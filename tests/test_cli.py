@@ -79,6 +79,15 @@ def test_contradiction_rows_and_two_columns(capsys):
     assert document["results"]["third_column_products"] == {"+1": 16, "-1": 0}
 
 
+def test_contradiction_with_a_repeated_context_keeps_the_parity_view(capsys):
+    code, repeated = run_json(capsys, "contradiction", "--constraints", "r0,r1,r2,c0,c1,c2,r0")
+    _, six = run_json(capsys, "contradiction", "--constraints", "r0,r1,r2,c0,c1,c2")
+    assert code == 0
+    assert repeated["pass"] is True
+    assert repeated["results"]["count"] == 0
+    assert repeated["results"]["parity"] == six["results"]["parity"]
+
+
 def test_contradiction_rejects_unknown_constraint(capsys):
     code = main(["contradiction", "--constraints", "diag1"])
     assert code == 2

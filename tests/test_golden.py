@@ -23,6 +23,7 @@ from pmsquare.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+README = GOLDEN.parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["file"] for case in CASES])
@@ -32,6 +33,16 @@ def test_report_matches_golden(case, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out.encode("utf-8") == (GOLDEN / case["file"]).read_bytes()
+
+
+def test_every_readme_example_is_a_golden_case():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert lines and all(words[:1] == ["pmsquare"] for words in lines)
+    argvs = [case["argv"] for case in CASES]
+    for words in lines:
+        assert words[1:] + ["--json"] in argvs, " ".join(words)
 
 
 if __name__ == "__main__":

@@ -378,6 +378,9 @@ def test_model_table_is_read_only_and_shape_checked():
         model.outcomes[0, 0] = 2
     with pytest.raises(ValueError):
         model.probabilities[0] = 0.5
+    with pytest.raises(TypeError):
+        model.states[0].outcomes["B"] = 99
+    assert model.states[0].outcomes["B"] == 1
     with pytest.raises(ValueError):
         HVModel(1, model.measurement_ids, model.outcomes, model.probabilities[:-1])
 
@@ -556,6 +559,20 @@ def test_witness_report_is_read_only():
     for array in (block.states, block.values):
         with pytest.raises(ValueError):
             array[0] = 0
+    for witness in report.context_witnesses + report.cell_witnesses:
+        with pytest.raises(TypeError):
+            witness.outcomes["B"] = 99
+    # negating f(B) makes every row-2 triple inadmissible, a simultaneous violation
+    cached = build_realization(1)
+    derived = dict(cached.derived)
+    flipped = {o: -v for o, v in derived["f(B)"].outcome_map.items()}
+    derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map=flipped)
+    broken = dataclasses.replace(cached, derived=derived)
+    violations = violation_witnesses(build_model1(PSI1), broken).simultaneous_violations
+    assert violations
+    for witness in violations:
+        with pytest.raises(TypeError):
+            witness.outcomes["B"] = 99
 
 
 def test_model2_is_model3_with_translated_wings():

@@ -7,6 +7,9 @@ import pytest
 from pmsquare.errors import InternalConsistencyError
 from pmsquare.qm import expectation
 from pmsquare.realizations import (
+    MEASUREMENT_CONTEXTS,
+    PAIR_WINGS,
+    SIDE_IDS,
     build_realization,
     cell_classes,
     cell_of_derived,
@@ -72,6 +75,33 @@ def test_realization3_cell_map():
     assert r.cell_map[(2, 2)] == ("h(B)", "hp(Bprime)")
     assert r.cell_map[(0, 0)] == ("Ll_z",)
     assert set(r.physicals) == {"Ll_z", "Lr_z", "Ll_x", "Lr_x", "B", "Bprime"}
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_realization_declaration_cross_references(index):
+    r = build_realization(index)
+    # the derived measurements are exactly the cell-map ids, under their own ids
+    assert set(r.derived) == {did for ids in r.cell_map.values() for did in ids}
+    assert all(d.id == did for did, d in r.derived.items())
+    # every physical measurement is the parent of some derived one
+    assert set(r.physicals) == {d.parent for d in r.derived.values()}
+    assert all(m.id == mid for mid, m in r.physicals.items())
+    # each identification names derived ids of a single cell
+    for group in r.identifications:
+        assert group <= set(r.derived)
+        assert len({cell_of_derived(r, did) for did in group}) == 1
+
+
+def test_pair_wings_are_the_cells_of_the_pair_readouts():
+    r2, r3 = build_realization(2), build_realization(3)
+    assert tuple(PAIR_WINGS) == ("Lzz", "Lxx", "Lzx", "Lxz")
+    assert SIDE_IDS == ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
+    for pid, wings in PAIR_WINGS.items():
+        for function, wing in zip(("l", "r"), wings):
+            assert cell_of_derived(r2, f"{function}({pid})") == cell_of_derived(r3, wing)
+    for table in (PAIR_WINGS, MEASUREMENT_CONTEXTS):
+        with pytest.raises(TypeError):
+            table["Lzz"] = None
 
 
 def test_build_realization_rejects_bad_index():
