@@ -47,6 +47,10 @@ class UsageError(ValueError):
 # --- state specification -----------------------------------------------------
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, dict[str, Any]]:
     """Resolve a named state or a state file into a ket plus an input echo."""
     if spec == "chsh-max":
@@ -76,9 +80,13 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
     pairs = document["amplitudes"]
     if not isinstance(pairs, list) or len(pairs) != 4:
         raise UsageError("'amplitudes' must list four [re, im] pairs")
+    for index, pair in enumerate(pairs):
+        # bools and strings are not JSON numbers, though float() takes them
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            raise UsageError(f"bad amplitude entry {index}: expected [re, im], two JSON numbers")
     try:
         components = [complex(float(re), float(im)) for re, im in pairs]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise UsageError(f"bad amplitude entry: {exc}") from None
     try:
         state = ket(components, normalize=normalize)

@@ -15,7 +15,10 @@ the four one-wing polarization values that reproduces the four measurable
 pairwise joints.  Such a joint exists exactly when the fixed-setting CHSH
 bound |S| <= 2 holds (Fine's theorem); it is found or refuted with a
 Farkas certificate by linear feasibility over one constant marginalization
-matrix.  Realization 2 gets the same states through the outcome translation.
+matrix.  Its keys are the one-wing value tuples ``WING_VALUES``, and the
+wings each CHSH setting reads are those of the pair measurement on its
+axes, from ``PAIR_WINGS`` and ``SIDE_SPEC``.  Realization 2 gets the same
+states through the outcome translation.
 
 ``violation_witnesses`` exhibits how the models escape the square's no-go
 argument: hidden states whose value triple in a *non-simultaneous*
@@ -48,6 +51,8 @@ from .realizations import (
     MEASUREMENT_CONTEXTS,
     PAIR_WINGS,
     SIDE_IDS,
+    SIDE_SPEC,
+    WING_VALUES,
     Realization,
     build_realization,
     consistent_pair_outcomes,
@@ -62,23 +67,22 @@ _SIGNS = (1, -1)
 #: Axis pairs (left, right) of the measurable polarization joints.
 PAIR_AXES = (("z", "z"), ("z", "x"), ("x", "z"), ("x", "x"))
 
-#: Variable order of the joint distribution: (left-z, right-z, left-x, right-x).
-JOINT_KEYS = tuple(itertools.product(_SIGNS, repeat=4))
+#: Keys of the joint distribution: the one-wing value tuples of ``SIDE_IDS``.
+JOINT_KEYS = WING_VALUES
 
-#: Which joint-key slots a pair of axes reads: left z/x -> slot 0/2,
-#: right z/x -> slot 1/3.
-_PAIR_SLOTS = {("z", "z"): (0, 1), ("z", "x"): (0, 3), ("x", "z"): (2, 1), ("x", "x"): (2, 3)}
-
-_AXIS_LABEL = {"z": "Z", "x": "X"}
+#: The (left, right) wing ids each ``PAIR_AXES`` setting reads: the pair measurement's on its axes.
+_SETTING_WINGS = {
+    tuple(SIDE_SPEC[wing][0].lower() for wing in wings): wings for wings in PAIR_WINGS.values()
+}
 
 #: Coefficients of the Fine system: a normalization row, then for each pair
 #: of ``PAIR_AXES`` and outcome pair (a, b) the indicator of the joint keys
-#: whose two slots read (a, b).
+#: whose two wing slots read (a, b).
 _MARGINALIZATION = np.array(
     [[1.0] * len(JOINT_KEYS)]
     + [
         [float((key[slot_a], key[slot_b]) == ab) for key in JOINT_KEYS]
-        for slot_a, slot_b in map(_PAIR_SLOTS.get, PAIR_AXES)
+        for slot_a, slot_b in (map(SIDE_IDS.index, _SETTING_WINGS[axes]) for axes in PAIR_AXES)
         for ab in itertools.product(_SIGNS, repeat=2)
     ]
 )
@@ -141,8 +145,15 @@ class HVModel:
     fine: FineResult | None = None
 
     def __post_init__(self) -> None:
-        for name, dtype in (("outcomes", np.int8), ("probabilities", np.float64)):
-            array = np.array(getattr(self, name), dtype=dtype)
+        table = np.asarray(self.outcomes)
+        with np.errstate(invalid="ignore"):  # a NaN or infinite outcome fails the check below
+            outcomes = table if table.dtype == object else table.astype(np.int8)
+        if outcomes.dtype != np.int8 or not np.array_equal(outcomes, table):
+            raise ValueError("every outcome must be an integer that fits in int8")
+        probabilities = np.array(self.probabilities, dtype=np.float64)
+        if not np.isfinite(probabilities).all():
+            raise ValueError("every weight must be finite")
+        for name, array in (("outcomes", outcomes), ("probabilities", probabilities)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         if self.outcomes.shape != (len(self.probabilities), len(self.measurement_ids)):
@@ -206,7 +217,7 @@ def chsh_max_state() -> np.ndarray:
 def ch_report(state: np.ndarray) -> CHReport:
     """Correlators E(s,t) = <sigma_s (x) sigma_t> for s,t in {z,x} and the CHSH values."""
     correlators = {
-        (s, t): expectation(state, pauli_tensor(_AXIS_LABEL[s], _AXIS_LABEL[t]))
+        (s, t): expectation(state, pauli_tensor(s.upper(), t.upper()))
         for s, t in PAIR_AXES
     }
     e1, e2, e3, e4 = (correlators[pair] for pair in PAIR_AXES)
@@ -223,10 +234,8 @@ def ch_report(state: np.ndarray) -> CHReport:
 @lru_cache(maxsize=None)
 def _pair_projector(pair: tuple[str, str], a: int, b: int) -> np.ndarray:
     """The read-only product of the left projector on outcome a and the right one on b."""
-    left_axis, right_axis = pair
-    proj = side_projector(_AXIS_LABEL[left_axis], a, "left") @ side_projector(
-        _AXIS_LABEL[right_axis], b, "right"
-    )
+    (left_axis, left), (right_axis, right) = (SIDE_SPEC[wing] for wing in _SETTING_WINGS[pair])
+    proj = side_projector(left_axis, a, left) @ side_projector(right_axis, b, right)
     proj.setflags(write=False)
     return proj
 
@@ -371,7 +380,7 @@ def reproduce_statistics(model: HVModel, state: np.ndarray) -> StatisticsReport:
     if model.realization_index == 3:
         born_joints = quantum_pair_joints(state)
         for pair in PAIR_AXES:
-            id_a, id_b = (SIDE_IDS[slot] for slot in _PAIR_SLOTS[pair])
+            id_a, id_b = _SETTING_WINGS[pair]
             joint = model.joint_marginal(id_a, id_b)
             pair_deviations[f"{id_a},{id_b}"] = max(
                 abs(joint.get(key, 0.0) - p) for key, p in born_joints[pair].items()

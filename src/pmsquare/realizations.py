@@ -13,20 +13,21 @@ each cell by exactly one derived measurement; rows are then trivially
 simultaneous but no column is.  Realization 2 adds Lzx, Lxz and a second
 Bell measurement B', making every context simultaneously measurable at
 the price of realizing every cell twice (four of the doublings collapse
-under the declared one-wing identifications, five do not).  Realization 3
+under the one-wing identifications, five do not).  Realization 3
 splits the polarization measurements into single wings (Ll_z, Lr_z, Ll_x,
 Lr_x) plus B and B', failing both uniqueness and simultaneity.
 
-A realization is declared by its cell map and its identifications alone:
-``build_realization`` builds each derived measurement from its id and each
-physical measurement once per parent the ids name.  ``MEASUREMENT_CONTEXTS``
-gives the context whose eigenbasis each four-outcome measurement projects
-onto, and ``PAIR_WINGS`` the (left, right) one-wing measurements each pair
-polarization measurement resolves into.
+A realization is declared by its cell map alone: ``build_realization``
+builds each derived measurement from its id and each physical measurement
+once per parent the ids name, and identifies the readouts of one wing.
+``PAIR_WINGS`` gives the (left, right) wings each pair polarization
+measurement resolves into, ``SIDE_SPEC`` each wing's Pauli axis and side,
+``WING_VALUES`` the 16 one-wing value tuples, and ``MEASUREMENT_CONTEXTS``
+the context whose eigenbasis each four-outcome measurement projects onto.
 
 Simultaneity here is structural: two derived measurements are
 simultaneously measurable iff they are functions of one physical
-measurement or are declared identical.  ``check_requirements`` asks the
+measurement or are identified.  ``check_requirements`` asks the
 two questions this module exists for: (i) is every cell uniquely
 realized, and (ii) does every commuting pair of cells admit simultaneous
 realizers.
@@ -88,15 +89,21 @@ PAIR_WINGS = MappingProxyType(
     }
 )
 
-_SIDE_SPEC = {
-    "Ll_z": ("Z", "left"),
-    "Lr_z": ("Z", "right"),
-    "Ll_x": ("X", "left"),
-    "Lr_x": ("X", "right"),
-}
+#: The one-wing measurements: wing id -> (Pauli axis, side).
+SIDE_SPEC = MappingProxyType(
+    {
+        "Ll_z": ("Z", "left"),
+        "Lr_z": ("Z", "right"),
+        "Ll_x": ("X", "left"),
+        "Lr_x": ("X", "right"),
+    }
+)
 
 #: The one-wing measurement ids, in the slot order of a one-wing value tuple.
-SIDE_IDS = tuple(_SIDE_SPEC)
+SIDE_IDS = tuple(SIDE_SPEC)
+
+#: The 16 one-wing value tuples, one +/-1 per wing in ``SIDE_IDS`` order.
+WING_VALUES = tuple(itertools.product((1, -1), repeat=len(SIDE_IDS)))
 
 #: The derived measurements realizing each cell, per realization.  A derived
 #: id is a one-wing id (its own readout) or ``fn(parent)``, readout fn of
@@ -136,18 +143,6 @@ _CELL_MAPS = {
         (2, 1): ("g(B)",),
         (2, 2): ("h(B)", "hp(Bprime)"),
     },
-}
-
-#: Derived measurements declared identical, per realization (none if absent).
-_IDENTIFICATIONS = {
-    # one-wing readouts of different pair measurements do the same thing
-    # on that wing, so they count as the same measurement
-    2: (
-        frozenset({"l(Lzz)", "l(Lzx)"}),
-        frozenset({"r(Lzz)", "r(Lxz)"}),
-        frozenset({"r(Lxx)", "r(Lzx)"}),
-        frozenset({"l(Lxx)", "l(Lxz)"}),
-    ),
 }
 
 
@@ -244,8 +239,8 @@ def _verify_resolution(measurement: PhysicalMeasurement) -> None:
 
 def _physical(meas_id: str) -> PhysicalMeasurement:
     """A one-wing measurement (outcomes +/-1) or a context's eigenbasis measurement (1..4)."""
-    if meas_id in _SIDE_SPEC:
-        axis, side = _SIDE_SPEC[meas_id]
+    if meas_id in SIDE_SPEC:
+        axis, side = SIDE_SPEC[meas_id]
         outcomes = (1, -1)
         projectors = (side_projector(axis, +1, side), side_projector(axis, -1, side))
     else:
@@ -259,7 +254,7 @@ def _physical(meas_id: str) -> PhysicalMeasurement:
 
 def _derived(derived_id: str) -> DerivedMeasurement:
     """A one-wing id, or ``fn(parent)`` read through the parent's eigentable."""
-    if derived_id in _SIDE_SPEC:
+    if derived_id in SIDE_SPEC:
         # a one-wing measurement is its own +/-1 readout
         return DerivedMeasurement(derived_id, derived_id, MappingProxyType({1: 1, -1: -1}))
     function, parent = derived_id.removesuffix(")").split("(")
@@ -278,12 +273,19 @@ def build_realization(index: int) -> Realization:
     derived = {did: _derived(did) for ids in cell_map.values() for did in ids}
     # each parent once, in cell-map order
     physicals = {mid: _physical(mid) for mid in dict.fromkeys(d.parent for d in derived.values())}
+    # l(P) and r(P) read the wings PAIR_WINGS[P]; readouts of one wing by different
+    # pair measurements do the same thing there, so they count as the same measurement
+    wings: dict[str, list[str]] = {}
+    for did in derived:
+        function, _, parent = did.removesuffix(")").partition("(")
+        if function in ("l", "r"):
+            wings.setdefault(PAIR_WINGS[parent]["lr".index(function)], []).append(did)
     return Realization(
         index,
         MappingProxyType(physicals),
         MappingProxyType(derived),
         MappingProxyType(cell_map),
-        _IDENTIFICATIONS.get(index, ()),
+        tuple(frozenset(ids) for ids in wings.values() if len(ids) > 1),
     )
 
 
@@ -454,6 +456,11 @@ def derived_born_distribution(
 # --- outcome translation between realizations 2 and 3 ----------------------
 
 
+def _is_integer(value: object) -> bool:
+    """Whether value is an int or a NumPy integer; bools and floats are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @lru_cache(maxsize=None)
 def _wing_values(pair_id: str, outcome: int) -> tuple[int, int]:
     """The (left, right) wing values a pair polarization outcome 1..4 implies."""
@@ -465,18 +472,18 @@ def _wing_values(pair_id: str, outcome: int) -> tuple[int, int]:
 def translate_outcomes(pair_outcomes: Mapping[str, int]) -> dict[str, int]:
     """Convert the four pair-measurement outcome indices to one-wing values.
 
-    The input must assign an outcome 1..4 to each of Lzz, Lxx, Lzx, Lxz and
-    must be consistent: both measurements touching a wing have to imply the
-    same +/-1 value there.  Inconsistent tuples raise ValueError naming the
-    clashing measurements.
+    The input must assign an integer outcome 1..4 (not a bool or a float) to
+    each of Lzz, Lxx, Lzx, Lxz and must be consistent: both measurements
+    touching a wing have to imply the same +/-1 value there.  Inconsistent
+    tuples raise ValueError naming the clashing measurements.
     """
     if set(pair_outcomes) != set(PAIR_WINGS):
         raise ValueError(f"expected outcomes for exactly {tuple(PAIR_WINGS)}")
     implied: dict[str, dict[str, int]] = {sid: {} for sid in SIDE_IDS}
     for pid, wing_ids in PAIR_WINGS.items():
         outcome = pair_outcomes[pid]
-        if outcome not in (1, 2, 3, 4):
-            raise ValueError(f"{pid}: outcome must be 1..4, got {outcome!r}")
+        if not _is_integer(outcome) or outcome not in (1, 2, 3, 4):
+            raise ValueError(f"{pid}: outcome must be an integer 1..4, got {outcome!r}")
         for sid, value in zip(wing_ids, _wing_values(pid, outcome)):
             implied[sid][pid] = value
     out: dict[str, int] = {}
@@ -497,8 +504,8 @@ def translate_outcomes_inverse(side_outcomes: Mapping[str, int]) -> dict[str, in
     if set(side_outcomes) != set(SIDE_IDS):
         raise ValueError(f"expected outcomes for exactly {SIDE_IDS}")
     for sid, value in side_outcomes.items():
-        if value not in (1, -1):
-            raise ValueError(f"{sid}: outcome must be +1 or -1, got {value!r}")
+        if not _is_integer(value) or value not in (1, -1):
+            raise ValueError(f"{sid}: outcome must be the integer +1 or -1, got {value!r}")
     out: dict[str, int] = {}
     for pid, (left, right) in PAIR_WINGS.items():
         wings = (side_outcomes[left], side_outcomes[right])
@@ -512,11 +519,10 @@ def translate_outcomes_inverse(side_outcomes: Mapping[str, int]) -> dict[str, in
 def consistent_pair_outcomes() -> list[dict[str, int]]:
     """The 16 consistent pair-outcome tuples, one per one-wing value tuple.
 
-    They follow ``itertools.product((1, -1), repeat=4)`` over the wing
-    values in ``SIDE_IDS`` order.
+    They follow the one-wing value tuples of ``WING_VALUES``, in order.
     """
     tuples = []
-    for values in itertools.product((1, -1), repeat=4):
+    for values in WING_VALUES:
         side = dict(zip(SIDE_IDS, values))
         tuples.append(translate_outcomes_inverse(side))
     return tuples

@@ -326,6 +326,25 @@ def test_bad_state_file_is_a_usage_error(tmp_path, capsys):
     assert main(["ch", "--state", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        '[[true, false], ["0", "0"], [0, 0], [0, 0]]',
+        '[[1, 0], [0, "0"], [0, 0], [0, 0]]',
+        '[[1, 0], {"0": 0, "1": 0}, [0, 0], [0, 0]]',
+    ],
+)
+def test_amplitudes_must_be_json_numbers(tmp_path, capsys, amplitudes):
+    # float() takes bools and numeric strings, and a dict unpacks to its keys
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"amplitudes": {amplitudes}}}', encoding="utf-8")
+    assert main(["ch", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pmsquare: bad amplitude entry")
+    assert captured.err.count("\n") == 1
+
+
 def test_state_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_bytes(b'\xff\xfe{"name": "psi1"}')

@@ -3,7 +3,7 @@
 ``golden/cases.json`` lists each command line with its expected exit code
 and the file holding its expected stdout.  The lines are the README
 examples, ``verify``, ``ch``, every realization, models 1/2/3 on ``psi1``
-and ``chsh-max``, and models 2/3 plus ``sample 3`` on a fixed Haar state
+and ``chsh-max``, and models 2/3 plus samples 2/3 on a fixed Haar state
 with |S| < 2 (``golden/haar_state.json``), whose 256 hidden states are
 mostly of positive weight.  ``python tests/test_golden.py`` rewrites the
 files from the current code; a report change that needs this is stated

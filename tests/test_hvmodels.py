@@ -128,6 +128,21 @@ def test_fine_joint_psi1_reproduces_all_pair_joints():
             assert marg == pytest.approx(q, abs=1e-9)
 
 
+def test_pair_joints_are_the_born_joints_of_the_pair_measurements():
+    # an oracle for the one-wing wiring: the joint of an axis pair is the
+    # distribution of the (l, r) readouts of the pair measurement on those axes
+    realization = build_realization(2)
+    for state in [PSI1, chsh_max_state(), *random_states(5, seed=11)]:
+        joints = quantum_pair_joints(state)
+        for pid in ("Lzz", "Lzx", "Lxz", "Lxx"):
+            left, right = (realization.derived[f"{fn}({pid})"].outcome_map for fn in "lr")
+            born = {}
+            for outcome, p in realization.physicals[pid].born_distribution(state).items():
+                key = (left[outcome], right[outcome])
+                born[key] = born.get(key, 0.0) + p
+            assert joints[(pid[1], pid[2])] == pytest.approx(born, abs=1e-12)
+
+
 def _row_by_row_fine_system(state):
     """The Fine system as it was built before the constant matrix: one row at a time."""
     joints = quantum_pair_joints(state)
@@ -383,6 +398,20 @@ def test_model_table_is_read_only_and_shape_checked():
     assert model.states[0].outcomes["B"] == 1
     with pytest.raises(ValueError):
         HVModel(1, model.measurement_ids, model.outcomes, model.probabilities[:-1])
+
+
+@pytest.mark.parametrize(
+    "outcomes, weights",
+    [
+        (np.array([[257, 1, 1]]), [1.0]),  # int8 would wrap it to 1
+        ([[1.7, 1, 1]], [1.0]),  # int8 would truncate it to 1
+        ([[257, 1, 1]], [1.0]),  # numpy raises OverflowError for a Python int
+        ([[1, 1, 1]], [float("nan")]),
+    ],
+)
+def test_model_table_refuses_values_it_cannot_hold(outcomes, weights):
+    with pytest.raises(ValueError):
+        HVModel(1, ("Lzz", "Lxx", "B"), outcomes, weights)
 
 
 def _loop_tally(model, *ids):

@@ -10,6 +10,9 @@ from pmsquare.realizations import (
     MEASUREMENT_CONTEXTS,
     PAIR_WINGS,
     SIDE_IDS,
+    SIDE_SPEC,
+    WING_VALUES,
+    _wing_values,
     build_realization,
     cell_classes,
     cell_of_derived,
@@ -66,8 +69,14 @@ def test_realization2_cell_map_and_identifications():
     assert r.cell_map[(0, 2)] == ("t(Lzz)", "fp(Bprime)")
     assert r.cell_map[(2, 0)] == ("f(B)", "t(Lzx)")
     assert set(r.physicals) == {"Lzz", "Lxx", "Lzx", "Lxz", "B", "Bprime"}
-    assert frozenset({"l(Lzz)", "l(Lzx)"}) in r.identifications
-    assert len(r.identifications) == 4
+    # the readouts of one wing, grouped in order of first appearance
+    assert r.identifications == (
+        frozenset({"l(Lzz)", "l(Lzx)"}),
+        frozenset({"r(Lzz)", "r(Lxz)"}),
+        frozenset({"r(Lxx)", "r(Lzx)"}),
+        frozenset({"l(Lxx)", "l(Lxz)"}),
+    )
+    assert build_realization(3).identifications == ()
 
 
 def test_realization3_cell_map():
@@ -99,9 +108,11 @@ def test_pair_wings_are_the_cells_of_the_pair_readouts():
     for pid, wings in PAIR_WINGS.items():
         for function, wing in zip(("l", "r"), wings):
             assert cell_of_derived(r2, f"{function}({pid})") == cell_of_derived(r3, wing)
-    for table in (PAIR_WINGS, MEASUREMENT_CONTEXTS):
+    for table in (PAIR_WINGS, MEASUREMENT_CONTEXTS, SIDE_SPEC):
         with pytest.raises(TypeError):
             table["Lzz"] = None
+    assert SIDE_IDS == tuple(SIDE_SPEC)
+    assert WING_VALUES == tuple(itertools.product((1, -1), repeat=4))
 
 
 def test_build_realization_rejects_bad_index():
@@ -293,6 +304,28 @@ def test_translate_validates_inputs():
         translate_outcomes({"Lzz": 0, "Lxx": 1, "Lzx": 1, "Lxz": 1})
     with pytest.raises(ValueError):
         translate_outcomes_inverse({"Ll_z": 2, "Lr_z": 1, "Ll_x": 1, "Lr_x": 1})
+
+
+@pytest.mark.parametrize("outcome", [1.0, True, np.float64(1.0), np.bool_(True)])
+@pytest.mark.parametrize("warm", [False, True])
+def test_translate_accepts_integer_outcomes_only(outcome, warm):
+    # 1.0 and True hash like 1, so a warm cache must not let them through
+    _wing_values.cache_clear()
+    if warm:
+        translate_outcomes({"Lzz": 1, "Lxx": 1, "Lzx": 1, "Lxz": 1})
+        translate_outcomes_inverse({"Ll_z": 1, "Lr_z": 1, "Ll_x": 1, "Lr_x": 1})
+    with pytest.raises(ValueError, match="Lzz: outcome must be an integer"):
+        translate_outcomes({"Lzz": outcome, "Lxx": 1, "Lzx": 1, "Lxz": 1})
+    with pytest.raises(ValueError, match="Ll_z: outcome must be the integer"):
+        translate_outcomes_inverse({"Ll_z": outcome, "Lr_z": 1, "Ll_x": 1, "Lr_x": 1})
+    sides = translate_outcomes({"Lzz": np.int64(1), "Lxx": np.int8(1), "Lzx": 1, "Lxz": 1})
+    assert sides == {"Ll_z": 1, "Lr_z": 1, "Ll_x": 1, "Lr_x": 1}
+    assert translate_outcomes_inverse({**sides, "Ll_z": np.int16(1)}) == {
+        "Lzz": 1,
+        "Lxx": 1,
+        "Lzx": 1,
+        "Lxz": 1,
+    }
 
 
 def test_exactly_sixteen_consistent_tuples_exist():
