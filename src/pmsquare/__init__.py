@@ -49,8 +49,6 @@ from .realizations import (
     RequirementReport,
     build_realization,
     check_requirements,
-    derived_born_distribution,
-    derived_outcome,
     translate_outcomes,
     translate_outcomes_inverse,
 )

@@ -70,6 +70,8 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
         raise UsageError(f"cannot read state file {spec!r}: {exc}") from None
     if not isinstance(document, dict):
         raise UsageError(f"state file {spec!r} must hold an object")
+    if "name" in document and "amplitudes" in document:
+        raise UsageError(f"state file {spec!r} must hold 'name' or 'amplitudes', not both")
     if "name" in document:
         name = str(document["name"])
         if name != "chsh-max" and name not in NAMED_STATES:

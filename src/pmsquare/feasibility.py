@@ -50,10 +50,6 @@ class LinearSystem:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    @property
-    def num_vars(self) -> int:
-        return self.coefficients.shape[1]
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:

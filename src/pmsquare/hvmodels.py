@@ -67,21 +67,18 @@ _SIGNS = (1, -1)
 #: Axis pairs (left, right) of the measurable polarization joints.
 PAIR_AXES = (("z", "z"), ("z", "x"), ("x", "z"), ("x", "x"))
 
-#: Keys of the joint distribution: the one-wing value tuples of ``SIDE_IDS``.
-JOINT_KEYS = WING_VALUES
-
 #: The (left, right) wing ids each ``PAIR_AXES`` setting reads: the pair measurement's on its axes.
 _SETTING_WINGS = {
     tuple(SIDE_SPEC[wing][0].lower() for wing in wings): wings for wings in PAIR_WINGS.values()
 }
 
 #: Coefficients of the Fine system: a normalization row, then for each pair
-#: of ``PAIR_AXES`` and outcome pair (a, b) the indicator of the joint keys
+#: of ``PAIR_AXES`` and outcome pair (a, b) the indicator of the wing-value tuples
 #: whose two wing slots read (a, b).
 _MARGINALIZATION = np.array(
-    [[1.0] * len(JOINT_KEYS)]
+    [[1.0] * len(WING_VALUES)]
     + [
-        [float((key[slot_a], key[slot_b]) == ab) for key in JOINT_KEYS]
+        [float((key[slot_a], key[slot_b]) == ab) for key in WING_VALUES]
         for slot_a, slot_b in (map(SIDE_IDS.index, _SETTING_WINGS[axes]) for axes in PAIR_AXES)
         for ab in itertools.product(_SIGNS, repeat=2)
     ]
@@ -287,7 +284,7 @@ def fine_joint(state: np.ndarray) -> FineResult:
             f"the joint-distribution solve is {result.status} at |S| = {report.max_abs!r}"
         )
     if result.status == "feasible":
-        joint = {key: float(p) for key, p in zip(JOINT_KEYS, result.point)}
+        joint = {key: float(p) for key, p in zip(WING_VALUES, result.point)}
         return FineResult("feasible", MappingProxyType(joint), None, report, system, mixing)
     result.certificate.setflags(write=False)
     return FineResult("infeasible", None, result.certificate, report, system, mixing)
@@ -327,13 +324,13 @@ def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
             f"(CHSH max |S| = {fine.ch.max_abs:.6f} > 2); the construction is unavailable",
             fine_result=fine,
         )
-    joint = np.array([fine.joint[key] for key in JOINT_KEYS])
+    joint = np.array([fine.joint[key] for key in WING_VALUES])
     probabilities = np.multiply.outer(
         np.multiply.outer(joint, _born_weights(state, "B")), _born_weights(state, "Bprime")
     ).ravel()
-    # one row per joint key (consistent_pair_outcomes keeps their order),
+    # one row per wing-value tuple (consistent_pair_outcomes keeps their order),
     # each repeated for the 16 (B, B') outcome pairs
-    wing_ids, wings = SIDE_IDS, JOINT_KEYS
+    wing_ids, wings = SIDE_IDS, WING_VALUES
     if realization_index == 2:
         wing_ids = tuple(PAIR_WINGS)
         wings = [[pair[pid] for pid in wing_ids] for pair in consistent_pair_outcomes()]

@@ -19,7 +19,8 @@ Lr_x) plus B and B', failing both uniqueness and simultaneity.
 
 A realization is declared by its cell map alone: ``build_realization``
 builds each derived measurement from its id and each physical measurement
-once per parent the ids name, and identifies the readouts of one wing.
+once per parent the ids name, and identifies the readouts of one wing, so
+its identifications are disjoint groups of one cell's ids.
 ``PAIR_WINGS`` gives the (left, right) wings each pair polarization
 measurement resolves into, ``SIDE_SPEC`` each wing's Pauli axis and side,
 ``WING_VALUES`` the 16 one-wing value tuples, and ``MEASUREMENT_CONTEXTS``
@@ -176,7 +177,7 @@ class Realization:
     physicals: Mapping[str, PhysicalMeasurement]
     derived: Mapping[str, DerivedMeasurement]
     cell_map: Mapping[Cell, tuple[str, ...]]
-    identifications: tuple[frozenset[str], ...]
+    identifications: tuple[frozenset[str], ...]  # disjoint groups of one cell's ids
 
     @cached_property
     def scan_plan(self) -> ScanPlan:
@@ -289,45 +290,23 @@ def build_realization(index: int) -> Realization:
     )
 
 
-def derived_outcome(measurement: DerivedMeasurement, parent_outcome: int) -> int:
-    """Apply a derived measurement's outcome function to a parent outcome."""
-    try:
-        return measurement.outcome_map[parent_outcome]
-    except KeyError:
-        raise ValueError(
-            f"{measurement.id}: {parent_outcome!r} is not an outcome of {measurement.parent}"
-        ) from None
-
-
 # --- simultaneity structure -------------------------------------------------
-
-
-def measurement_classes(realization: Realization) -> dict[str, frozenset[str]]:
-    """Map each derived id to its identification class (a singleton if unidentified)."""
-    classes = {did: frozenset({did}) for did in realization.derived}
-    for group in realization.identifications:
-        merged = frozenset().union(*(classes[d] for d in group))
-        for d in merged:
-            classes[d] = merged
-    return classes
 
 
 def cell_classes(realization: Realization, cell: Cell) -> tuple[tuple[str, ...], ...]:
     """Identification classes realizing a cell, keeping cell_map order.
 
-    Each class is returned as a tuple ordered by cell_map appearance; its
-    first element serves as the class representative.
+    An id's class is its identification group, or the id alone if it has
+    none.  Each class is returned as a tuple ordered by cell_map
+    appearance; its first element serves as the class representative.
     """
-    classes = measurement_classes(realization)
-    seen: list[frozenset[str]] = []
+    ids = realization.cell_map[cell]
     out: list[tuple[str, ...]] = []
-    for did in realization.cell_map[cell]:
-        cls = classes[did]
-        if cls not in seen:
-            seen.append(cls)
-            members = [d for d in realization.cell_map[cell] if d in cls]
-            members += sorted(cls - set(members))
-            out.append(tuple(members))
+    for did in ids:
+        group = next((g for g in realization.identifications if did in g), {did})
+        members = tuple(d for d in ids if d in group)
+        if members not in out:
+            out.append(members)
     return tuple(out)
 
 
@@ -431,26 +410,6 @@ def check_requirements(realization: Realization) -> RequirementReport:
         simultaneity_ok=not broken,
         broken_contexts=tuple(broken),
     )
-
-
-def cell_of_derived(realization: Realization, derived_id: str) -> Cell:
-    """The unique cell a derived measurement realizes."""
-    cells = [cell for cell, ids in realization.cell_map.items() if derived_id in ids]
-    if len(cells) != 1:
-        raise InternalConsistencyError(f"{derived_id} realizes {len(cells)} cells")
-    return cells[0]
-
-
-def derived_born_distribution(
-    realization: Realization, derived_id: str, state: np.ndarray
-) -> dict[int, float]:
-    """Quantum outcome distribution of a derived measurement in a state."""
-    d = realization.derived[derived_id]
-    parent = realization.physicals[d.parent]
-    dist = {1: 0.0, -1: 0.0}
-    for outcome, probability in parent.born_distribution(state).items():
-        dist[d.outcome_map[outcome]] += probability
-    return dist
 
 
 # --- outcome translation between realizations 2 and 3 ----------------------

@@ -88,10 +88,6 @@ class PMSquare:
     def operator(self, cell: Cell) -> np.ndarray:
         return pauli_tensor(*self.labels(cell))
 
-    @property
-    def cells(self) -> tuple[Cell, ...]:
-        return CELLS
-
 
 def build_square() -> PMSquare:
     return PMSquare(_LAYOUT)
@@ -249,9 +245,8 @@ def commutation_relation(square: PMSquare) -> dict[tuple[Cell, Cell], bool]:
     predicate; a mismatch raises InternalConsistencyError.
     """
     result: dict[tuple[Cell, Cell], bool] = {}
-    cells = square.cells
-    for i, c1 in enumerate(cells):
-        for c2 in cells[i + 1 :]:
+    for i, c1 in enumerate(CELLS):
+        for c2 in CELLS[i + 1 :]:
             comm = commutator(square.operator(c1), square.operator(c2))
             commutes = bool(np.max(np.abs(comm)) <= VERIFY_ATOL)
             predicted = c1[0] == c2[0] or c1[1] == c2[1]
@@ -293,9 +288,6 @@ class Assignment:
 
     def context_values(self, context: Context) -> tuple[int, int, int]:
         return tuple(self.value(cell) for cell in context_cells(context))
-
-    def grid(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(self.values[r * 3 : r * 3 + 3] for r in range(3))
 
 
 def search_assignments(active_constraints: Iterable[Context] | None = None) -> list[Assignment]:

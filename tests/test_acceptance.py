@@ -8,7 +8,6 @@ import pytest
 
 from pmsquare.cli import cmd_sample
 from pmsquare.hvmodels import (
-    JOINT_KEYS,
     build_model1,
     build_model23,
     ch_report,
@@ -18,6 +17,7 @@ from pmsquare.hvmodels import (
     violation_witnesses,
 )
 from pmsquare.realizations import (
+    WING_VALUES,
     build_realization,
     check_requirements,
     consistent_pair_outcomes,
@@ -132,18 +132,18 @@ def test_criterion_05_fine_construction():
     psi1 = NAMED_STATES["psi1"]
     result = fine_joint(psi1)
     system = result.system
-    point = np.array([result.joint[key] for key in JOINT_KEYS])
+    point = np.array([result.joint[key] for key in WING_VALUES])
     ok = result.status == "feasible"
     ok = ok and float(np.max(np.abs(system.coefficients @ point - system.rhs))) <= 1e-9
     block = sum(p for key, p in result.joint.items() if key[0] == 1 and key[1] == 1)
     ok = ok and abs(block - 1.0) <= 1e-9
-    quarter = np.array([0.25 if key[0] == 1 and key[1] == 1 else 0.0 for key in JOINT_KEYS])
+    quarter = np.array([0.25 if key[0] == 1 and key[1] == 1 else 0.0 for key in WING_VALUES])
     ok = ok and float(np.max(np.abs(system.coefficients @ quarter - system.rhs))) <= 1e-12
 
     for state in random_product_states(200, seed=31337):
         product_result = fine_joint(state)
         ok = ok and product_result.status == "feasible"
-        p = np.array([product_result.joint[key] for key in JOINT_KEYS])
+        p = np.array([product_result.joint[key] for key in WING_VALUES])
         s = product_result.system
         ok = ok and float(np.max(np.abs(s.coefficients @ p - s.rhs))) <= 1e-9
 

@@ -293,6 +293,24 @@ def test_state_file_name_may_not_point_to_a_file(tmp_path, capsys):
         assert err.startswith("pmsquare: ") and "not a known state name" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"name": "psi1", "amplitudes": 3},
+        {"name": "psi1", "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "name": "chsh-max"},
+    ],
+)
+def test_state_file_may_not_hold_both_a_name_and_amplitudes(tmp_path, capsys, document):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["ch", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pmsquare: ") and "not both" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_state_file_with_amplitudes(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text('{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}', encoding="utf-8")

@@ -9,7 +9,7 @@ from pmsquare.feasibility import FeasibilityResult, LinearSystem, solve
 
 def _scipy_feasible(system: LinearSystem) -> bool:
     result = linprog(
-        c=np.zeros(system.num_vars),
+        c=np.zeros(system.coefficients.shape[1]),
         A_eq=system.coefficients,
         b_eq=system.rhs,
         bounds=(0, None),

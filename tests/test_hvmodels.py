@@ -16,7 +16,6 @@ from pmsquare.hvmodels import (
     _MARGINALIZATION,
     _SAMPLE_CHUNK,
     _tally,
-    JOINT_KEYS,
     PAIR_AXES,
     audit_noncontextuality,
     build_model1,
@@ -32,7 +31,12 @@ from pmsquare.hvmodels import (
     HVModel,
 )
 from pmsquare.qm import apply, pauli_tensor
-from pmsquare.realizations import build_realization, cell_classes, translate_outcomes_inverse
+from pmsquare.realizations import (
+    WING_VALUES,
+    build_realization,
+    cell_classes,
+    translate_outcomes_inverse,
+)
 from pmsquare.square import CONTEXTS, NAMED_STATES, admissible_triples, context_cells
 
 from conftest import boundary_crossing, boundary_point, boundary_slope, random_states
@@ -147,12 +151,12 @@ def _row_by_row_fine_system(state):
     """The Fine system as it was built before the constant matrix: one row at a time."""
     joints = quantum_pair_joints(state)
     slots = {("z", "z"): (0, 1), ("z", "x"): (0, 3), ("x", "z"): (2, 1), ("x", "x"): (2, 3)}
-    rows = [([1.0] * len(JOINT_KEYS), 1.0)]
+    rows = [([1.0] * len(WING_VALUES), 1.0)]
     for pair in PAIR_AXES:
         slot_a, slot_b = slots[pair]
         for a, b in itertools.product((1, -1), repeat=2):
             coeffs = [
-                1.0 if key[slot_a] == a and key[slot_b] == b else 0.0 for key in JOINT_KEYS
+                1.0 if key[slot_a] == a and key[slot_b] == b else 0.0 for key in WING_VALUES
             ]
             rows.append((coeffs, joints[pair][(a, b)]))
     return np.array([c for c, _ in rows], dtype=float), np.array([v for _, v in rows], dtype=float)
@@ -170,7 +174,7 @@ def test_fine_system_matches_the_row_by_row_builder_bit_for_bit():
 def test_quarter_uniform_point_satisfies_the_psi1_system():
     system = fine_system(PSI1)
     quarter = np.array(
-        [0.25 if key[0] == 1 and key[1] == 1 else 0.0 for key in JOINT_KEYS]
+        [0.25 if key[0] == 1 and key[1] == 1 else 0.0 for key in WING_VALUES]
     )
     residual = np.max(np.abs(system.coefficients @ quarter - system.rhs))
     assert residual <= 1e-12
@@ -249,7 +253,7 @@ def test_fine_verdict_that_contradicts_the_chsh_report_is_an_internal_error(monk
 def test_fine_results_are_read_only():
     feasible = fine_joint(PSI1)
     with pytest.raises(TypeError):
-        feasible.joint[JOINT_KEYS[0]] = 1.0
+        feasible.joint[WING_VALUES[0]] = 1.0
     infeasible = fine_joint(chsh_max_state())
     with pytest.raises(ValueError):
         infeasible.certificate[0] = 0.0
@@ -303,6 +307,22 @@ def test_model1_reproduces_born_statistics():
         stats = reproduce_statistics(model, state)
         assert stats.passed
         assert stats.max_abs_deviation <= 1e-12
+
+
+def test_models_with_permuted_weights_fail_the_statistics_check():
+    state = next(s for s in random_states(10, seed=29) if not ch_report(s).violated)
+    rng = np.random.default_rng(29)
+    for model in (build_model1(state), build_model23(state, 3)):
+        permuted = HVModel(
+            model.realization_index,
+            model.measurement_ids,
+            model.outcomes,
+            rng.permutation(model.probabilities),
+        )
+        stats = reproduce_statistics(permuted, state)
+        assert stats.probability_sum == pytest.approx(1.0, abs=1e-12)
+        assert stats.max_abs_deviation > 1e-3
+        assert not stats.passed, model.realization_index
 
 
 # --- models 2/3 ------------------------------------------------------------------
@@ -697,6 +717,19 @@ def test_sampling_is_deterministic_and_close_to_born():
     for ms in first.measurements.values():
         assert ms.tv_distance < first.tv_bound
         assert sum(ms.counts.values()) == 200_000
+
+
+def test_sampling_fails_a_model_a_few_bounds_off():
+    # psi1 pins Lzz to outcome 1; weight 0.3 spread uniformly moves its
+    # marginal to 0.775, a TV distance of 0.225: 4.5 bounds at 1e4 shots
+    model = build_model1(PSI1)
+    uniform = np.full(len(model.probabilities), 1.0 / len(model.probabilities))
+    weights = 0.7 * model.probabilities + 0.3 * uniform
+    mixed = HVModel(1, model.measurement_ids, model.outcomes, weights)
+    report = sample_model(mixed, PSI1, 10_000, seed=5)
+    worst = max(ms.tv_distance for ms in report.measurements.values())
+    assert report.tv_bound < worst < 10 * report.tv_bound
+    assert not report.passed
 
 
 def test_sampling_point_mass():

@@ -176,6 +176,14 @@ def test_ket_validates_shape_and_norm():
             ket(zero, normalize=True)
 
 
+def test_ket_refuses_a_norm_off_by_a_millionth():
+    for norm in (1.0 + 1e-6, 1.0 - 1e-6):
+        with pytest.raises(ValueError, match="not normalized"):
+            ket([norm, 0.0, 0.0, 0.0])
+        assert not is_normalized(np.array([norm, 0.0, 0.0, 0.0], dtype=complex))
+    assert np.array_equal(ket([1.0 + 1e-10, 0.0, 0.0, 0.0]), [1.0 + 1e-10, 0, 0, 0])
+
+
 _PART = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([1e308, -1.7e308, 1e-160, 5e-324, 0.0]),

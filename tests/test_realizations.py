@@ -5,29 +5,31 @@ import numpy as np
 import pytest
 
 from pmsquare.errors import InternalConsistencyError
-from pmsquare.qm import expectation
+from pmsquare.qm import expectation, product_ket, projector
 from pmsquare.realizations import (
     MEASUREMENT_CONTEXTS,
     PAIR_WINGS,
     SIDE_IDS,
     SIDE_SPEC,
     WING_VALUES,
+    PhysicalMeasurement,
+    _verify_resolution,
     _wing_values,
     build_realization,
     cell_classes,
-    cell_of_derived,
     check_requirements,
     classes_compatible,
     consistent_pair_outcomes,
-    derived_born_distribution,
-    derived_outcome,
-    measurement_classes,
     translate_outcomes,
     translate_outcomes_inverse,
 )
 from pmsquare.square import CONTEXTS, admissible_triples, build_square, context_cells
 
 from conftest import random_states
+
+
+def _cells_realized_by(realization, derived_id):
+    return [cell for cell, ids in realization.cell_map.items() if derived_id in ids]
 
 
 # --- construction ---------------------------------------------------------
@@ -95,10 +97,11 @@ def test_realization_declaration_cross_references(index):
     # every physical measurement is the parent of some derived one
     assert set(r.physicals) == {d.parent for d in r.derived.values()}
     assert all(m.id == mid for mid, m in r.physicals.items())
-    # each identification names derived ids of a single cell
+    # the identifications are disjoint groups, each of derived ids of a single cell
+    assert sum(map(len, r.identifications)) == len(frozenset().union(*r.identifications))
     for group in r.identifications:
         assert group <= set(r.derived)
-        assert len({cell_of_derived(r, did) for did in group}) == 1
+        assert len({cell for did in group for cell in _cells_realized_by(r, did)}) == 1
 
 
 def test_pair_wings_are_the_cells_of_the_pair_readouts():
@@ -107,7 +110,8 @@ def test_pair_wings_are_the_cells_of_the_pair_readouts():
     assert SIDE_IDS == ("Ll_z", "Lr_z", "Ll_x", "Lr_x")
     for pid, wings in PAIR_WINGS.items():
         for function, wing in zip(("l", "r"), wings):
-            assert cell_of_derived(r2, f"{function}({pid})") == cell_of_derived(r3, wing)
+            cells = _cells_realized_by(r2, f"{function}({pid})")
+            assert len(cells) == 1 and cells == _cells_realized_by(r3, wing)
     for table in (PAIR_WINGS, MEASUREMENT_CONTEXTS, SIDE_SPEC):
         with pytest.raises(TypeError):
             table["Lzz"] = None
@@ -131,32 +135,41 @@ def test_physical_projectors_resolve_identity():
                 assert np.max(np.abs(p @ p - p)) <= 1e-12
 
 
+def test_verify_resolution_rejects_a_non_orthogonal_pair():
+    # |10> and |1+> overlap; the orthogonality check must name it, not the sum
+    kets = [product_ket(p) for p in ("00", "01", "10", "1+")]
+    measurement = PhysicalMeasurement("bad", (1, 2, 3, 4), tuple(map(projector, kets)))
+    with pytest.raises(InternalConsistencyError, match="not orthogonal"):
+        _verify_resolution(measurement)
+
+
+def test_verify_resolution_rejects_an_incomplete_set():
+    kets = [product_ket(p) for p in ("00", "01", "10")]
+    measurement = PhysicalMeasurement("bad", (1, 2, 3), tuple(map(projector, kets)))
+    with pytest.raises(InternalConsistencyError, match="do not sum to identity"):
+        _verify_resolution(measurement)
+
+
 # --- derived outcomes --------------------------------------------------------
 
 
 def test_derived_outcome_bell_first_outcome_is_positive():
     r = build_realization(1)
     f = r.derived["f(B)"]
-    assert derived_outcome(f, 1) == 1
+    assert f.outcome_map[1] == 1
     g = r.derived["g(B)"]
     h = r.derived["h(B)"]
-    assert derived_outcome(g, 1) == 1 and derived_outcome(h, 1) == 1
+    assert g.outcome_map[1] == 1 and h.outcome_map[1] == 1
 
 
 def test_derived_outcome_t_lzz_second_outcome():
     r = build_realization(1)
-    assert derived_outcome(r.derived["t(Lzz)"], 2) == -1
+    assert r.derived["t(Lzz)"].outcome_map[2] == -1
 
 
 def test_derived_outcome_hp_bprime_first_outcome():
     r = build_realization(3)
-    assert derived_outcome(r.derived["hp(Bprime)"], 1) == -1
-
-
-def test_derived_outcome_rejects_unknown_label():
-    r = build_realization(1)
-    with pytest.raises(ValueError):
-        derived_outcome(r.derived["f(B)"], 5)
+    assert r.derived["hp(Bprime)"].outcome_map[1] == -1
 
 
 # --- requirement checks --------------------------------------------------------
@@ -205,8 +218,8 @@ def test_realization1_simultaneity_is_three_parent_cliques():
     for d in r.derived.values():
         by_parent.setdefault(d.parent, set()).add(d.id)
     assert sorted(len(group) for group in by_parent.values()) == [3, 3, 3]
-    classes = measurement_classes(r)
-    assert all(len(cls) == 1 for cls in classes.values())
+    for cell, ids in r.cell_map.items():
+        assert cell_classes(r, cell) == (ids,) and len(ids) == 1
 
 
 def test_cell_classes_merge_identified_measurements():
@@ -220,7 +233,7 @@ def test_cell_of_derived_is_unique():
         r = build_realization(index)
         for cell, ids in r.cell_map.items():
             for did in ids:
-                assert cell_of_derived(r, did) == cell
+                assert _cells_realized_by(r, did) == [cell]
 
 
 # --- statistical faithfulness ------------------------------------------------
@@ -237,8 +250,12 @@ def test_derived_measurements_are_statistically_faithful():
             op = sq.operator(cell)
             plus = (np.eye(4) + op) / 2.0
             for did in ids:
+                derived = r.derived[did]
+                parent = r.physicals[derived.parent]
                 for state in states:
-                    dist = derived_born_distribution(r, did, state)
+                    dist = {1: 0.0, -1: 0.0}
+                    for outcome, probability in parent.born_distribution(state).items():
+                        dist[derived.outcome_map[outcome]] += probability
                     assert dist[1] == pytest.approx(expectation(state, plus), abs=1e-12)
                     assert dist[1] + dist[-1] == pytest.approx(1.0, abs=1e-12)
 

@@ -140,6 +140,25 @@ def test_verify_eigentable_rejects_corrupt_values():
         verify_eigentable(corrupt)
 
 
+def test_verify_eigentable_rejects_swapped_triples():
+    from pmsquare.square import EigenEntry
+
+    table = eigentable(Context("row", 1))
+    first, second, *rest = table.entries
+    # both triples still multiply to +1, so only the eigen relations can tell
+    swapped = EigenTable(
+        table.context,
+        (
+            EigenEntry(first.label, first.vector, second.values),
+            EigenEntry(second.label, second.vector, first.values),
+            *rest,
+        ),
+    )
+    assert all(int(np.prod(entry.values)) == 1 for entry in swapped.entries)
+    with pytest.raises(InternalConsistencyError, match="eigenvector"):
+        verify_eigentable(swapped)
+
+
 def test_eigentable_vectors_are_read_only():
     entry = eigentable(Context("row", 2)).entries[0]
     with pytest.raises(ValueError):
@@ -232,7 +251,6 @@ def test_assignment_accessors():
     assert a.value((0, 1)) == -1
     assert a.context_values(Context("row", 0)) == (1, -1, -1)
     assert a.context_values(Context("column", 0)) == (1, 1, 1)
-    assert a.grid()[0] == (1, -1, -1)
 
 
 def test_context_from_name_accepts_both_spellings():
