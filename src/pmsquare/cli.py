@@ -70,6 +70,9 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
         raise UsageError(f"cannot read state file {spec!r}: {exc}") from None
     if not isinstance(document, dict):
         raise UsageError(f"state file {spec!r} must hold an object")
+    unknown = [key for key in document if key not in ("name", "amplitudes")]
+    if unknown:
+        raise UsageError(f"state file {spec!r}: unknown field {unknown[0]!r}")
     if "name" in document and "amplitudes" in document:
         raise UsageError(f"state file {spec!r} must hold 'name' or 'amplitudes', not both")
     if "name" in document:

@@ -86,11 +86,15 @@ _MARGINALIZATION = np.array(
 _MARGINALIZATION.setflags(write=False)
 
 #: Number G of guide-table buckets for sampling.  A power of two, so
-#: ``u * G``, its floor and ``k / G`` are exact in floating point and
-#: bucket k holds exactly the draws in [k/G, (k+1)/G).
+#: bucket k holds exactly the draws in [k/G, (k+1)/G): those whose 64-bit
+#: Philox word w has k in its top log2(G) = 12 bits, ``w >> 52``.
 _GUIDE_BUCKETS = 4096
 
-#: Philox variates drawn and tallied per step of ``sample_model``.
+#: The guide-table bucket edges k/G, k = 0..G, exact in floating point.
+_GUIDE_EDGES = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+_GUIDE_EDGES.setflags(write=False)
+
+#: Philox words drawn and tallied per step of ``sample_model``.
 _SAMPLE_CHUNK = 1 << 16
 
 
@@ -614,26 +618,29 @@ class SampleReport:
 
 
 def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """Count draws in [0, 1) per state of the CDF ``cumulative``.
+    """Count Philox words per state of the CDF ``cumulative``.
 
-    The counts equal ``np.bincount(np.minimum(np.searchsorted(cumulative,
-    draws, side="right"), n - 1), minlength=n)`` over all draws of all
-    chunks.  They are found through a guide table (Chen & Asau 1974;
-    Devroye 1986, section III.2.4): every state index of a draw in bucket
-    ``floor(u * G)`` lies between the indices of the bucket's two edges,
-    so only draws in buckets that straddle a CDF edge are searched, and
-    the rest are tallied per bucket.
+    Each uint64 word w stands for the variate ``u = (w >> 11) * 2**-53``,
+    the double ``Generator.random`` makes of it.  The counts equal
+    ``np.bincount(np.minimum(np.searchsorted(cumulative, u, side="right"),
+    n - 1), minlength=n)`` over all words of all chunks.  They are found
+    through a guide table (Chen & Asau 1974; Devroye 1986, section
+    III.2.4): the top 12 bits ``w >> 52`` are the bucket ``floor(u * G)``,
+    every state index of a variate in that bucket lies between the indices
+    of the bucket's two edges, so only words in buckets that straddle a CDF
+    edge are turned into variates and searched, and the rest are tallied
+    per bucket.
     """
     n = len(cumulative)
-    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-    bounds = np.minimum(np.searchsorted(cumulative, edges, side="right"), n - 1)
+    bounds = np.minimum(np.searchsorted(cumulative, _GUIDE_EDGES, side="right"), n - 1)
     lo, straddles = bounds[:-1], bounds[:-1] != bounds[1:]
     bucket_counts = np.zeros(_GUIDE_BUCKETS, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
-    for draws in chunks:
-        buckets = (draws * _GUIDE_BUCKETS).astype(np.intp)
+    for words in chunks:
+        buckets = (words >> 52).view(np.int64)
         bucket_counts += np.bincount(buckets, minlength=_GUIDE_BUCKETS)
-        searched = np.searchsorted(cumulative, draws[straddles[buckets]], side="right")
+        draws = (np.compress(straddles[buckets], words) >> 11) * 2.0**-53
+        searched = np.searchsorted(cumulative, draws, side="right")
         counts += np.bincount(np.minimum(searched, n - 1), minlength=n)
     np.add.at(counts, lo[~straddles], bucket_counts[~straddles])
     return counts
@@ -643,14 +650,17 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     """Draw hidden states i.i.d. and tally every physical measurement.
 
     Randomness comes from NumPy's Philox counter-based generator keyed by
-    ``seed``; the s-th variate of that stream decides shot s, so runs are
-    reproducible across platforms and shardable by counter offset: as
-    ``advance(1)`` skips 4 variates, shard offsets k are multiples of 4 and
-    a shard starts from ``Philox(key=seed).advance(k // 4)``.  The
-    variates are streamed in fixed-size chunks and mapped to hidden states
-    by an exact guide-table lookup on the cumulative weights, so memory per
-    call is O(chunk + states) for any ``shots``.  The pass flag checks
-    every total-variation distance against 5/sqrt(shots).
+    ``seed``; the s-th 64-bit word of that stream decides shot s through
+    the variate ``(w >> 11) * 2**-53``, the s-th ``Generator.random``
+    double, so runs are reproducible across platforms and shardable by
+    counter offset: as ``advance(1)`` skips 4 words, shard offsets k are
+    multiples of 4 and a shard starts from ``Philox(key=seed).advance(k //
+    4)``.  The words are streamed in fixed-size chunks and mapped to hidden
+    states by an exact guide-table lookup on the cumulative weights: the
+    top 12 bits choose the bucket, and only words in buckets that straddle
+    a CDF edge become variates, so memory per call is O(chunk + states)
+    for any ``shots``.  The pass flag checks every total-variation
+    distance against 5/sqrt(shots).
     """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots!r}")
@@ -658,21 +668,22 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     realization = build_realization(model.realization_index)
     probabilities = np.maximum(model.probabilities, 0.0)
     cumulative = np.cumsum(probabilities / probabilities.sum())
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    bit_generator = np.random.Philox(key=np.uint64(seed))
     chunk = _SAMPLE_CHUNK
     state_counts = _tally(
-        cumulative, (rng.random(min(chunk, shots - start)) for start in range(0, shots, chunk))
+        cumulative,
+        (bit_generator.random_raw(min(chunk, shots - start)) for start in range(0, shots, chunk)),
     )
+    # slot 256 m + o + 128 counts the shots of outcome o of measurement m, in one exact int64 pass
+    slots = model.outcomes.astype(np.intp) + 128 + 256 * np.arange(len(model.measurement_ids))
+    totals = np.zeros(slots.shape[1] * 256, dtype=np.int64)
+    np.add.at(totals, slots, state_counts[:, None])
 
     tv_bound = 5.0 / math.sqrt(shots)
     measurements: dict[str, MeasurementSample] = {}
-    for mid in model.measurement_ids:
-        column = model.column(mid)
+    for mid, row in zip(model.measurement_ids, totals.reshape(-1, 256).tolist()):
         born = realization.physicals[mid].born_distribution(state)
-        counts = {
-            outcome: int(state_counts[column == outcome].sum())
-            for outcome in realization.physicals[mid].outcomes
-        }
+        counts = {outcome: row[outcome + 128] for outcome in realization.physicals[mid].outcomes}
         frequencies = {outcome: count / shots for outcome, count in counts.items()}
         tv = 0.5 * sum(abs(frequencies[o] - born[o]) for o in born)
         measurements[mid] = MeasurementSample(counts, frequencies, born, tv)

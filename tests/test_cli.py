@@ -311,6 +311,26 @@ def test_state_file_may_not_hold_both_a_name_and_amplitudes(tmp_path, capsys, do
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"name": "psi1", "amplitude": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+        {"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], "normalize": True},
+        {"Name": "psi1"},
+        {"name": "psi1", "": 0},
+    ],
+)
+def test_state_file_may_not_hold_an_unknown_field(tmp_path, capsys, document):
+    (unknown,) = set(document) - {"name", "amplitudes"}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["ch", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pmsquare: ") and f"unknown field {unknown!r}" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_state_file_with_amplitudes(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text('{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}', encoding="utf-8")

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -751,49 +752,79 @@ def _reference_tally(cumulative, draws):
     )
 
 
+def _variates(words):
+    return (words >> 11) * 2.0**-53
+
+
 _BUCKET_EDGES = st.integers(0, _GUIDE_BUCKETS).map(lambda k: k / _GUIDE_BUCKETS)
 #: Values on and one ulp either side of the guide-table bucket edges k/G.
 _NEAR_EDGES = st.one_of(
     _BUCKET_EDGES,
     st.tuples(_BUCKET_EDGES, st.sampled_from((-1.0, 2.0))).map(lambda p: float(np.nextafter(*p))),
 )
+_LOW_BITS = st.integers(0, 2**11 - 1)
+_TOP_BITS = 2**53 - 1
+
+
+def _words_near(tops):
+    """Words whose top 53 bits are on or one step either side of ``tops``, any low 11 bits."""
+    top = st.tuples(tops, st.sampled_from((-1, 0, 1))).map(
+        lambda p: min(max(p[0] + p[1], 0), _TOP_BITS)
+    )
+    return st.builds(lambda t, low: t << 11 | low, top, _LOW_BITS)
+
+
+#: Words on and one step either side of the bucket edges k * 2**52.
+_NEAR_EDGE_WORDS = _words_near(st.integers(0, _GUIDE_BUCKETS).map(lambda k: k << 41))
 
 
 @st.composite
-def _cdf_and_draws(draw):
+def _cdf_and_words(draw):
     edges = draw(st.lists(st.one_of(st.floats(0.0, 1.0), _NEAR_EDGES), min_size=1, max_size=40))
     # repeated edges are runs of zero-weight states
     runs = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
     top = draw(st.sampled_from((1.0, float(np.nextafter(1.0, 0.0)), 1.0 - 1e-12, 0.75)))
     cumulative = np.append(np.sort(np.clip(np.repeat(edges, runs), 0.0, top)), top)
-    below_one = float(np.nextafter(1.0, 0.0))
-    draws = draw(
+    # words whose variate is on or one step either side of a CDF edge
+    on_cdf = _words_near(st.sampled_from([int(c * 2**53) for c in cumulative]))
+    words = draw(
         st.lists(
-            st.one_of(st.floats(0.0, 1.0, exclude_max=True), _NEAR_EDGES).map(
-                lambda u: min(max(u, 0.0), below_one)
-            ),
+            st.one_of(st.integers(0, 2**64 - 1), _NEAR_EDGE_WORDS, on_cdf),
             min_size=0,
             max_size=200,
         )
     )
-    return cumulative, np.array(draws, dtype=float)
+    return cumulative, np.array(words, dtype=np.uint64)
 
 
-@given(_cdf_and_draws(), st.integers(1, 50))
+@given(_cdf_and_words(), st.integers(1, 50))
 @example(
     # cumulative[-1] below 1 inside a bucket that straddles another edge:
     # draws above it belong to the last state
     case=(
         np.array([0.5, 1.0 - 2.0**-20, 1.0 - 2.0**-30]),
-        np.array([0.5, np.nextafter(0.5, 0.0), 1.0 - 2.0**-25, 1.0 - 2.0**-31, np.nextafter(1.0, 0.0)]),
+        np.array(
+            [2**52 << 11, (2**52 - 1) << 11 | 2047, (2**53 - 2**28) << 11 | 1,
+             (2**53 - 2**22) << 11 | 1024, _TOP_BITS << 11 | 2047],
+            dtype=np.uint64,
+        ),
     ),
     chunk=2,
 )
 @settings(max_examples=200, deadline=None)
 def test_property_guide_tally_matches_searchsorted(case, chunk):
-    cumulative, draws = case
-    chunks = [draws[i : i + chunk] for i in range(0, len(draws), chunk)]
-    assert np.array_equal(_tally(cumulative, chunks), _reference_tally(cumulative, draws))
+    cumulative, words = case
+    chunks = [words[i : i + chunk] for i in range(0, len(words), chunk)]
+    assert np.array_equal(_tally(cumulative, chunks), _reference_tally(cumulative, _variates(words)))
+
+
+@pytest.mark.parametrize("key", [0, 5, 2**64 - 1])
+def test_philox_words_are_the_generator_variates(key):
+    bit_generator = np.random.Philox(key=np.uint64(key))
+    words = np.concatenate([bit_generator.random_raw(n) for n in (1, 3, 97, 1_001)])
+    variates = np.random.Generator(np.random.Philox(key=np.uint64(key))).random(len(words))
+    assert np.array_equal(_variates(words), variates)
+    assert np.array_equal(words >> 52, np.floor(variates * _GUIDE_BUCKETS).astype(np.uint64))
 
 
 def test_guide_tally_matches_searchsorted_on_model_weights():
@@ -801,9 +832,10 @@ def test_guide_tally_matches_searchsorted_on_model_weights():
         for model in _models_for(state):
             probabilities = np.maximum(model.probabilities, 0.0)
             cumulative = np.cumsum(probabilities / probabilities.sum())
+            words = np.random.Philox(key=np.uint64(5)).random_raw(20_000)
             draws = np.random.Generator(np.random.Philox(key=np.uint64(5))).random(20_000)
             assert np.array_equal(
-                _tally(cumulative, [draws]), _reference_tally(cumulative, draws)
+                _tally(cumulative, [words]), _reference_tally(cumulative, draws)
             )
 
 
@@ -834,15 +866,15 @@ def test_sampling_shards_at_a_multiple_of_four_add_up_to_one_run():
     assert offset % 4 == 0 and offset % _SAMPLE_CHUNK != 0
 
     def stream(step):
-        return np.random.Generator(np.random.Philox(key=np.uint64(seed)).advance(step))
+        return np.random.Philox(key=np.uint64(seed)).advance(step)
 
-    assert np.array_equal(stream(1).random(8), stream(0).random(12)[4:])
+    assert np.array_equal(stream(1).random_raw(8), stream(0).random_raw(12)[4:])
     state = random_states(1, seed=78)[0]
     for model in _models_for(state):
         probabilities = np.maximum(model.probabilities, 0.0)
         cumulative = np.cumsum(probabilities / probabilities.sum())
-        first = _tally(cumulative, [stream(0).random(offset)])
-        second = _tally(cumulative, [stream(offset // 4).random(shots - offset)])
+        first = _tally(cumulative, [stream(0).random_raw(offset)])
+        second = _tally(cumulative, [stream(offset // 4).random_raw(shots - offset)])
         report = sample_model(model, state, shots, seed)
         for mid, sample in report.measurements.items():
             column = model.column(mid)
@@ -850,6 +882,26 @@ def test_sampling_shards_at_a_multiple_of_four_add_up_to_one_run():
                 outcome: int(first[column == outcome].sum() + second[column == outcome].sum())
                 for outcome in sample.counts
             }
+
+
+def _sampling_peak_bytes(model, state, shots):
+    tracemalloc.start()
+    try:
+        sample_model(model, state, shots, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_memory_does_not_grow_with_the_shots():
+    # the words are drawn and tallied one chunk at a time, so two million
+    # shots need no more memory than a call whose largest chunk is as long
+    state = random_states(1, seed=79)[0]
+    two_chunks = 2 * _SAMPLE_CHUNK + 1
+    for model in _models_for(state):
+        _sampling_peak_bytes(model, state, two_chunks)  # warm up the cached realization and numpy
+        small = _sampling_peak_bytes(model, state, two_chunks)
+        assert _sampling_peak_bytes(model, state, 2_000_000) <= small + 64 * 1024
 
 
 def test_sampling_rejects_bad_shots():
