@@ -36,6 +36,7 @@ from .qm import (
     born_probability,
     commutator,
     expectation,
+    expectations,
     ket,
     pauli_tensor,
     product_ket,

@@ -123,13 +123,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         for i, var in enumerate(basis):
             if var < n:
                 x[var] = tab[i, -1]
-        residual = float(np.max(np.abs(a @ x - b)))
-        lowest = float(x.min()) if n else 0.0
-        if residual > TOLERANCE or lowest < -1e-12:
-            raise InternalConsistencyError(
-                f"feasible point failed verification (residual {residual:.3e}, "
-                f"min coordinate {lowest:.3e})"
-            )
+        _verify_point(a, b, x)
         return FeasibilityResult("feasible", x, None, objective)
 
     # phase-1 duals: the reduced cost of artificial i is 1 - y_i
@@ -138,11 +132,27 @@ def solve(system: LinearSystem) -> FeasibilityResult:
     if scale <= 0.0:
         raise InternalConsistencyError("infeasible system produced a zero dual vector")
     y = y / scale
-    against = float(np.max(y @ a)) if n else 0.0
+    _verify_certificate(a, b, y)
+    return FeasibilityResult("infeasible", None, y, objective)
+
+
+def _verify_point(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
+    """Raise unless ``a @ x = b`` to ``TOLERANCE`` and x >= 0 to 1e-12."""
+    residual = float(np.max(np.abs(a @ x - b)))
+    lowest = float(x.min()) if len(x) else 0.0
+    if residual > TOLERANCE or lowest < -1e-12:
+        raise InternalConsistencyError(
+            f"feasible point failed verification (residual {residual:.3e}, "
+            f"min coordinate {lowest:.3e})"
+        )
+
+
+def _verify_certificate(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless ``y @ a <= TOLERANCE`` componentwise and ``y @ b > 0``."""
+    against = float(np.max(y @ a)) if a.shape[1] else 0.0
     value = float(y @ b)
     if against > TOLERANCE or value <= 0.0:
         raise InternalConsistencyError(
             f"Farkas certificate failed verification (max y@A = {against:.3e}, "
             f"y@b = {value:.3e})"
         )
-    return FeasibilityResult("infeasible", None, y, objective)

@@ -45,7 +45,16 @@ import numpy as np
 
 from . import feasibility
 from .errors import InfeasibleModelError, InternalConsistencyError
-from .qm import VERIFY_ATOL, apply, born_probability, expectation, ket, pauli_tensor, side_projector
+from .qm import (
+    VERIFY_ATOL,
+    apply,
+    born_probability,
+    expectation,
+    expectations,
+    ket,
+    pauli_tensor,
+    side_projector,
+)
 from .square import CONTEXTS, Context, eigentable
 from .realizations import (
     MEASUREMENT_CONTEXTS,
@@ -89,10 +98,6 @@ _MARGINALIZATION.setflags(write=False)
 #: bucket k holds exactly the draws in [k/G, (k+1)/G): those whose 64-bit
 #: Philox word w has k in its top log2(G) = 12 bits, ``w >> 52``.
 _GUIDE_BUCKETS = 4096
-
-#: The guide-table bucket edges k/G, k = 0..G, exact in floating point.
-_GUIDE_EDGES = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-_GUIDE_EDGES.setflags(write=False)
 
 #: Philox words drawn and tallied per step of ``sample_model``.
 _SAMPLE_CHUNK = 1 << 16
@@ -346,6 +351,20 @@ def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
 # --- model verification -----------------------------------------------------
 
 
+def _born_distributions(model: HVModel, state: np.ndarray) -> dict[str, dict[int, float]]:
+    """Born distribution of each of the model's measurements, from one checked kernel call.
+
+    The projector expectations are independent of the eigenvector overlaps
+    ``build_model1``/``build_model23`` weight the hidden states by.
+    """
+    physicals = build_realization(model.realization_index).physicals
+    measurements = [physicals[mid] for mid in model.measurement_ids]
+    stack = np.concatenate([m.projectors for m in measurements])
+    values = iter(expectations(state, stack).tolist())
+    # zip stops at the end of a measurement's outcomes before it takes another value
+    return {m.id: dict(zip(m.outcomes, values)) for m in measurements}
+
+
 @dataclass(frozen=True)
 class StatisticsReport:
     """Model marginals against Born distributions, one deviation per check."""
@@ -369,10 +388,8 @@ def reproduce_statistics(model: HVModel, state: np.ndarray) -> StatisticsReport:
     """
     state = ket(state)
     tolerance = 1e-12 if model.realization_index == 1 else 1e-9
-    realization = build_realization(model.realization_index)
     deviations: dict[str, float] = {}
-    for mid in model.measurement_ids:
-        born = realization.physicals[mid].born_distribution(state)
+    for mid, born in _born_distributions(model, state).items():
         marginal = model.marginal(mid)
         deviations[mid] = max(
             abs(marginal.get(outcome, 0.0) - p) for outcome, p in born.items()
@@ -617,6 +634,20 @@ class SampleReport:
     passed: bool
 
 
+def _guide_bounds(cumulative: np.ndarray) -> np.ndarray:
+    """The state index of each bucket edge k/G, k = 0..G, in O(states + G).
+
+    They equal ``np.minimum(np.searchsorted(cumulative, k / G,
+    side="right"), n - 1)``: the number of CDF entries c with c <= k/G, that
+    is with ``ceil(c * G) <= k`` (c * G is exact), so they are running
+    counts of ``ceil(cumulative * G)``.
+    """
+    # fmin sends a NaN entry past every edge, where searchsorted sorts it
+    ceilings = np.fmin(np.ceil(cumulative * _GUIDE_BUCKETS), _GUIDE_BUCKETS + 1).astype(np.intp)
+    at_or_below = np.cumsum(np.bincount(ceilings, minlength=_GUIDE_BUCKETS + 2))[:-1]
+    return np.minimum(at_or_below, len(cumulative) - 1)
+
+
 def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Count Philox words per state of the CDF ``cumulative``.
 
@@ -629,10 +660,11 @@ def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
     every state index of a variate in that bucket lies between the indices
     of the bucket's two edges, so only words in buckets that straddle a CDF
     edge are turned into variates and searched, and the rest are tallied
-    per bucket.
+    per bucket.  The bucket bounds are running counts of ``ceil(cumulative
+    * G)`` (``_guide_bounds``), so no edge is searched for.
     """
     n = len(cumulative)
-    bounds = np.minimum(np.searchsorted(cumulative, _GUIDE_EDGES, side="right"), n - 1)
+    bounds = _guide_bounds(cumulative)
     lo, straddles = bounds[:-1], bounds[:-1] != bounds[1:]
     bucket_counts = np.zeros(_GUIDE_BUCKETS, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
@@ -657,15 +689,16 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     multiples of 4 and a shard starts from ``Philox(key=seed).advance(k //
     4)``.  The words are streamed in fixed-size chunks and mapped to hidden
     states by an exact guide-table lookup on the cumulative weights: the
-    top 12 bits choose the bucket, and only words in buckets that straddle
-    a CDF edge become variates, so memory per call is O(chunk + states)
-    for any ``shots``.  The pass flag checks every total-variation
-    distance against 5/sqrt(shots).
+    top 12 bits choose the bucket, the buckets' state bounds come from
+    counts of ``ceil(cumulative * 4096)``, and only words in buckets that
+    straddle a CDF edge become variates, so memory per call is O(chunk +
+    states) for any ``shots``.  The Born distributions of all measurements
+    come from one checked ``expectations`` call.  The pass flag checks
+    every total-variation distance against 5/sqrt(shots).
     """
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots!r}")
     state = ket(state)
-    realization = build_realization(model.realization_index)
     probabilities = np.maximum(model.probabilities, 0.0)
     cumulative = np.cumsum(probabilities / probabilities.sum())
     bit_generator = np.random.Philox(key=np.uint64(seed))
@@ -681,9 +714,10 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
 
     tv_bound = 5.0 / math.sqrt(shots)
     measurements: dict[str, MeasurementSample] = {}
+    borns = _born_distributions(model, state)
     for mid, row in zip(model.measurement_ids, totals.reshape(-1, 256).tolist()):
-        born = realization.physicals[mid].born_distribution(state)
-        counts = {outcome: row[outcome + 128] for outcome in realization.physicals[mid].outcomes}
+        born = borns[mid]
+        counts = {outcome: row[outcome + 128] for outcome in born}
         frequencies = {outcome: count / shots for outcome, count in counts.items()}
         tv = 0.5 * sum(abs(frequencies[o] - born[o]) for o in born)
         measurements[mid] = MeasurementSample(counts, frequencies, born, tv)

@@ -102,8 +102,13 @@ def is_normalized(state: np.ndarray) -> bool:
 
 
 def is_hermitian(op: np.ndarray) -> bool:
+    """Whether op is a Hermitian 4x4 matrix, or a (k, 4, 4) stack of them."""
     op = np.asarray(op)
-    return op.shape == (4, 4) and bool(np.max(np.abs(op - op.conj().T)) <= VERIFY_ATOL)
+    return (
+        op.ndim in (2, 3)
+        and op.shape[-2:] == (4, 4)
+        and bool(np.max(np.abs(op - op.conj().swapaxes(-1, -2))) <= VERIFY_ATOL)
+    )
 
 
 def born_probability(state: np.ndarray, eigenvector: np.ndarray) -> float:
@@ -115,18 +120,31 @@ def born_probability(state: np.ndarray, eigenvector: np.ndarray) -> float:
     return min(p, 1.0)
 
 
-def expectation(state: np.ndarray, op: np.ndarray) -> float:
-    """Expectation value <state|op|state> of a Hermitian operator."""
-    if not is_hermitian(op):
+def expectations(state: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Expectation values <state|op|state> of a (k, 4, 4) stack of Hermitian operators.
+
+    One norm check of the state and one Hermiticity check over the whole
+    stack.  Each value is ``np.vdot(state, op @ state)``, bit for bit.
+    """
+    ops = np.asarray(ops)
+    if ops.ndim != 3 or not len(ops):
+        raise ValueError(f"expected a (k, 4, 4) stack of operators, k >= 1, got shape {ops.shape}")
+    if not is_hermitian(ops):
         raise ValueError("operator is not Hermitian")
     if not is_normalized(state):
         raise ValueError("state is not normalized")
-    value = inner(state, op @ state)
-    if abs(value.imag) > VERIFY_ATOL:
+    values = np.array([np.vdot(state, row) for row in ops @ state], dtype=complex)
+    if np.max(np.abs(values.imag)) > VERIFY_ATOL:
         raise InternalConsistencyError(
-            f"expectation of a Hermitian operator came out complex: {value!r}"
+            "expectation of a Hermitian operator came out complex: "
+            f"{values[np.argmax(np.abs(values.imag))]!r}"
         )
-    return value.real
+    return values.real
+
+
+def expectation(state: np.ndarray, op: np.ndarray) -> float:
+    """Expectation value <state|op|state> of a Hermitian operator."""
+    return float(expectations(state, np.asarray(op)[np.newaxis])[0])
 
 
 def apply(op: np.ndarray, state: np.ndarray) -> np.ndarray:

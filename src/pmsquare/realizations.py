@@ -45,7 +45,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .qm import IDENTITY4, VERIFY_ATOL, expectation, projector, side_projector
+from .qm import IDENTITY4, VERIFY_ATOL, expectations, projector, side_projector
 from .square import (
     CONTEXTS,
     Cell,
@@ -149,19 +149,19 @@ _CELL_MAPS = {
 
 @dataclass(frozen=True)
 class PhysicalMeasurement:
+    """``projectors`` is a read-only (k, 4, 4) copy; ``projectors[i]`` is ``outcomes[i]``'s."""
+
     id: str
     outcomes: tuple[int, ...]
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray  # complex[outcomes, 4, 4]
 
     def __post_init__(self) -> None:
-        for proj in self.projectors:
-            proj.setflags(write=False)
+        stack = np.array(self.projectors, dtype=complex)
+        stack.setflags(write=False)
+        object.__setattr__(self, "projectors", stack)
 
     def born_distribution(self, state: np.ndarray) -> dict[int, float]:
-        return {
-            outcome: expectation(state, proj)
-            for outcome, proj in zip(self.outcomes, self.projectors)
-        }
+        return dict(zip(self.outcomes, expectations(state, self.projectors).tolist()))
 
 
 @dataclass(frozen=True)
@@ -226,15 +226,11 @@ class RequirementReport:
 
 def _verify_resolution(measurement: PhysicalMeasurement) -> None:
     # projectors must be mutually orthogonal and sum to the identity
-    total = np.zeros((4, 4), dtype=complex)
-    for i, p in enumerate(measurement.projectors):
-        total = total + p
-        for q in measurement.projectors[i + 1 :]:
-            if np.max(np.abs(p @ q)) > VERIFY_ATOL:
-                raise InternalConsistencyError(
-                    f"{measurement.id}: outcome projectors are not orthogonal"
-                )
-    if np.max(np.abs(total - IDENTITY4)) > VERIFY_ATOL:
+    p = measurement.projectors
+    overlaps = np.max(np.abs(p[:, np.newaxis] @ p), axis=(2, 3))  # [k, k]: |p_i p_j|
+    if np.any(overlaps[~np.eye(len(p), dtype=bool)] > VERIFY_ATOL):
+        raise InternalConsistencyError(f"{measurement.id}: outcome projectors are not orthogonal")
+    if np.max(np.abs(p.sum(axis=0) - IDENTITY4)) > VERIFY_ATOL:
         raise InternalConsistencyError(f"{measurement.id}: projectors do not sum to identity")
 
 
@@ -243,11 +239,11 @@ def _physical(meas_id: str) -> PhysicalMeasurement:
     if meas_id in SIDE_SPEC:
         axis, side = SIDE_SPEC[meas_id]
         outcomes = (1, -1)
-        projectors = (side_projector(axis, +1, side), side_projector(axis, -1, side))
+        projectors = [side_projector(axis, +1, side), side_projector(axis, -1, side)]
     else:
         outcomes = (1, 2, 3, 4)
         table = eigentable(MEASUREMENT_CONTEXTS[meas_id])
-        projectors = tuple(projector(entry.vector) for entry in table.entries)
+        projectors = [projector(entry.vector) for entry in table.entries]
     measurement = PhysicalMeasurement(meas_id, outcomes, projectors)
     _verify_resolution(measurement)
     return measurement

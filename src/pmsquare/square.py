@@ -176,15 +176,16 @@ def expected_context_sign(context: Context) -> int:
 
 
 def verify_eigentable(table: EigenTable) -> tuple[float, float]:
-    """Check orthonormality, the eigen relations, and the value products.
+    """Check orthonormality and the eigen relations.
 
+    The eigen relations imply each entry's value product: the context's
+    operator product is sign * I, so the values multiply to its sign.
     Returns the largest eigen and orthonormality residuals.  Raises
     InternalConsistencyError on any failure; a failure means the
     transcribed table data does not match the operators.
     """
     square = build_square()
     ops = [square.operator(cell) for cell in context_cells(table.context)]
-    sign = expected_context_sign(table.context)
     if len(table.entries) != 4:
         raise InternalConsistencyError(f"{table.context.name}: expected 4 entries")
     eigen_residual = ortho_residual = 0.0
@@ -198,11 +199,6 @@ def verify_eigentable(table: EigenTable) -> tuple[float, float]:
                     f"not orthonormal (overlap {overlap!r})"
                 )
             ortho_residual = max(ortho_residual, residual)
-        if int(np.prod(entry.values)) != sign:
-            raise InternalConsistencyError(
-                f"{table.context.name}: {entry.label} values {entry.values} "
-                f"do not multiply to {sign:+d}"
-            )
         for op, value in zip(ops, entry.values):
             residual = float(np.max(np.abs(apply(op, entry.vector) - value * entry.vector)))
             if residual > VERIFY_ATOL:

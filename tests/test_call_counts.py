@@ -1,9 +1,13 @@
 """How often each command runs the checked primitives.
 
-Every ``expectation`` checks Hermiticity and the norm, every
-``born_probability`` checks both kets' norms, and ``solve`` verifies its
-point or certificate.  Counting the calls of one command, with warm
-caches, pins that a refactor drops none of these checks.
+Every ``expectations`` call checks the norm once and the Hermiticity of
+its whole operator stack (``expectation`` delegates to it with a stack of
+one), every ``born_probability`` checks both kets' norms, and ``solve``
+verifies its point or certificate.  Counting the calls of one command,
+with warm caches, and the operators that ``is_hermitian`` receives pins
+that a refactor drops none of these checks: the operators checked per
+command equal the ``is_hermitian`` calls of the one-operator-per-call
+design (12, 44, 52, 52, 20, 36, 12 and 44 below).
 """
 
 import collections
@@ -12,6 +16,7 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmsquare import cli, feasibility, qm
@@ -23,6 +28,7 @@ _COUNTED = {
     for function in (
         qm.born_probability,
         qm.expectation,
+        qm.expectations,
         qm.is_hermitian,
         qm.is_normalized,
         feasibility.solve,
@@ -36,6 +42,9 @@ def _counts(argv):
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in _COUNTED:
             counts[_COUNTED[frame.f_code]] += 1
+            if frame.f_code is qm.is_hermitian.__code__:
+                shape = np.shape(frame.f_locals["op"])
+                counts["hermitian_operators"] += shape[0] if len(shape) == 3 else 1
 
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)  # warms the caches
@@ -47,11 +56,13 @@ def _counts(argv):
     return dict(counts)
 
 
-def _expected(born, expectation, hermitian, normalized, solve=0):
+def _expected(born, expectation, expectations, hermitian, operators, normalized, solve=0):
     counts = {
         "born_probability": born,
         "expectation": expectation,
+        "expectations": expectations,
         "is_hermitian": hermitian,
+        "hermitian_operators": operators,
         "is_normalized": normalized,
         "solve": solve,
     }
@@ -61,14 +72,22 @@ def _expected(born, expectation, hermitian, normalized, solve=0):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["model", "1", "--state", "psi1"], _expected(12, 12, 12, 36)),
-        (["model", "2", "--state", "psi1"], _expected(8, 44, 44, 60, 1)),
-        (["model", "3", "--state", "psi1"], _expected(8, 52, 52, 68, 1)),
-        (["model", "3", "--state", HAAR], _expected(8, 52, 52, 68, 1)),
-        (["model", "2", "--state", "chsh-max"], _expected(0, 20, 20, 20, 1)),
+        (["model", "1", "--state", "psi1"], _expected(12, 0, 1, 1, 12, 25)),
+        (["model", "2", "--state", "psi1"], _expected(8, 20, 21, 21, 44, 37, 1)),
+        (["model", "3", "--state", "psi1"], _expected(8, 36, 37, 37, 52, 53, 1)),
+        (["model", "3", "--state", HAAR], _expected(8, 36, 37, 37, 52, 53, 1)),
+        (["model", "2", "--state", "chsh-max"], _expected(0, 20, 20, 20, 20, 20, 1)),
         (
             ["sample", "3", "--state", "psi1", "--shots", "1000", "--seed", "1"],
-            _expected(8, 36, 36, 52, 1),
+            _expected(8, 20, 21, 21, 36, 37, 1),
+        ),
+        (
+            ["sample", "1", "--state", "psi1", "--shots", "1000", "--seed", "1"],
+            _expected(12, 0, 1, 1, 12, 25),
+        ),
+        (
+            ["sample", "2", "--state", "psi1", "--shots", "1000", "--seed", "1"],
+            _expected(8, 20, 21, 21, 44, 37, 1),
         ),
     ],
     ids=[
@@ -78,6 +97,8 @@ def _expected(born, expectation, hermitian, normalized, solve=0):
         "model-3-haar",
         "model-2-chsh-max",
         "sample-3-psi1",
+        "sample-1-psi1",
+        "sample-2-psi1",
     ],
 )
 def test_each_command_runs_the_checked_primitives_as_often_as_before(argv, expected):

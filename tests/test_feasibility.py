@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from pmsquare.feasibility import FeasibilityResult, LinearSystem, solve
+from pmsquare import feasibility
+from pmsquare.errors import InternalConsistencyError
+from pmsquare.feasibility import (
+    TOLERANCE,
+    FeasibilityResult,
+    LinearSystem,
+    _verify_certificate,
+    _verify_point,
+    solve,
+)
 
 
 def _scipy_feasible(system: LinearSystem) -> bool:
@@ -77,6 +86,49 @@ def test_malformed_rows_raise():
         LinearSystem(np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
         LinearSystem(np.array([[np.inf, 0.0]]), np.array([1.0]))
+
+
+# x = (0.5, 0.5) solves x0 + x1 = 1, x0 - x1 = 0
+_A = np.array([[1.0, 1.0], [1.0, -1.0]])
+_B = np.array([1.0, 0.0])
+
+
+def test_point_verification_refuses_a_residual_or_a_negative_coordinate():
+    _verify_point(_A, _B, np.array([0.5, 0.5]))
+    with pytest.raises(InternalConsistencyError, match="residual 1.000e-06"):
+        _verify_point(_A, _B, np.array([0.5, 0.5 + 1e-6]))
+    # a negative coordinate on a point that meets every equation
+    a, b = np.array([[1.0, 1.0]]), np.array([1.0])
+    with pytest.raises(InternalConsistencyError, match="min coordinate -1.000e-06"):
+        _verify_point(a, b, np.array([1.0 + 1e-6, -1e-6]))
+
+
+def test_certificate_verification_refuses_a_nonpositive_bound_or_a_positive_column():
+    # y = -1 certifies that x = -1 has no solution x >= 0
+    a = np.array([[1.0]])
+    _verify_certificate(a, np.array([-1.0]), np.array([-1.0]))
+    with pytest.raises(InternalConsistencyError, match=r"y@b = 0\.000e\+00"):
+        _verify_certificate(a, np.array([0.0]), np.array([-1.0]))
+    # a column with y @ A just above the tolerance, while y @ b > 0
+    a = np.array([[-1.0, 2 * TOLERANCE]])
+    _verify_certificate(np.array([[-1.0, TOLERANCE]]), np.array([1.0]), np.array([1.0]))
+    with pytest.raises(InternalConsistencyError, match="max y@A = 2.000e-09"):
+        _verify_certificate(a, np.array([1.0]), np.array([1.0]))
+
+
+def test_solve_verifies_every_point_and_certificate_it_returns(monkeypatch):
+    checked = []
+    for name in ("_verify_point", "_verify_certificate"):
+
+        def spy(a, b, vector, name=name, check=getattr(feasibility, name)):
+            checked.append((name, vector))
+            check(a, b, vector)
+
+        monkeypatch.setattr(feasibility, name, spy)
+    feasible = solve(LinearSystem(_A, _B))
+    infeasible = solve(LinearSystem(np.array([[1.0]]), np.array([-1.0])))
+    assert [name for name, _ in checked] == ["_verify_point", "_verify_certificate"]
+    assert checked[0][1] is feasible.point and checked[1][1] is infeasible.certificate
 
 
 def test_system_arrays_are_read_only_copies():

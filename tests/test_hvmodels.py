@@ -16,6 +16,7 @@ from pmsquare.hvmodels import (
     _GUIDE_BUCKETS,
     _MARGINALIZATION,
     _SAMPLE_CHUNK,
+    _guide_bounds,
     _tally,
     PAIR_AXES,
     audit_noncontextuality,
@@ -816,6 +817,35 @@ def test_property_guide_tally_matches_searchsorted(case, chunk):
     cumulative, words = case
     chunks = [words[i : i + chunk] for i in range(0, len(words), chunk)]
     assert np.array_equal(_tally(cumulative, chunks), _reference_tally(cumulative, _variates(words)))
+
+
+_ONE_ULP = st.sampled_from(
+    (float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)))
+)
+
+
+@st.composite
+def _guide_cdfs(draw):
+    """Sorted CDFs with entries on and one ulp either side of k/G, zero-weight runs
+    and a last entry at 1 - ulp, 1 or 1 + ulp; n = 1 included."""
+    top = draw(_ONE_ULP)
+    edges = draw(st.lists(st.one_of(st.floats(0.0, 1.0), _NEAR_EDGES), max_size=40))
+    runs = draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges)))
+    return np.append(np.sort(np.clip(np.repeat(edges, runs), 0.0, top)), top)
+
+
+@given(_guide_cdfs())
+@example(np.array([1.0]))
+@example(np.array([0.0, 0.0, 0.5, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]))
+@example(np.array([float(np.nextafter(2.0**-12, 0.0)), 2.0**-12, float(np.nextafter(1.0, 2.0))]))
+@example(np.array([0.5, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 2.0))]))
+@example(np.full(3, np.nan))  # the CDF of a model without positive weight
+@settings(max_examples=300, deadline=None)
+def test_property_guide_bounds_match_searchsorted(cumulative):
+    n = len(cumulative)
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    expected = np.minimum(np.searchsorted(cumulative, edges, side="right"), n - 1)
+    assert np.array_equal(_guide_bounds(cumulative), expected)
 
 
 @pytest.mark.parametrize("key", [0, 5, 2**64 - 1])

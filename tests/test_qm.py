@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from pmsquare.qm import (
     born_probability,
     commutator,
     expectation,
+    expectations,
     inner,
+    is_hermitian,
     is_normalized,
     ket,
     pauli_tensor,
@@ -19,6 +22,10 @@ from pmsquare.qm import (
     projector,
     side_projector,
 )
+
+from pmsquare.hvmodels import PAIR_AXES, _pair_projector, chsh_max_state
+from pmsquare.realizations import build_realization
+from pmsquare.square import NAMED_STATES
 
 from conftest import kron_oracle, random_states
 
@@ -147,6 +154,59 @@ def test_expectation_stays_within_spectrum():
     for state in random_states(20, seed=7):
         for op in ops:
             assert -1.0 - 1e-12 <= expectation(state, op) <= 1.0 + 1e-12
+
+
+#: Every operator the package takes expectations of: each physical measurement's
+#: projector stack, the pair projectors of the Fine layer and the Pauli tensors.
+_KERNEL_OPS = list(
+    itertools.chain(
+        *(
+            m.projectors
+            for index in (1, 2, 3)
+            for m in build_realization(index).physicals.values()
+        ),
+        (_pair_projector(pair, a, b) for pair in PAIR_AXES for a in (1, -1) for b in (1, -1)),
+        (pauli_tensor(l, r) for l in LABELS for r in LABELS),
+    )
+)
+_KERNEL_STATES = st.one_of(
+    st.sampled_from([*NAMED_STATES.values(), chsh_max_state()]),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_states(1, seed)[0]),
+)
+
+
+@given(_KERNEL_STATES, st.lists(st.sampled_from(_KERNEL_OPS), min_size=1, max_size=30))
+@settings(max_examples=200)
+def test_property_expectations_equal_vdot_bit_for_bit(state, ops):
+    got = expectations(state, np.array(ops))
+    expected = np.array([np.vdot(state, op @ state).real for op in ops])
+    assert got.tobytes() == expected.tobytes()
+    assert [expectation(state, op) for op in ops] == expected.tolist()
+
+
+def test_expectations_checks_every_operator_of_the_stack():
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = 1.0
+    stack = np.array([pauli_tensor(l, r) for l in LABELS for r in LABELS] + [skew])
+    assert is_hermitian(stack[:-1]) and not is_hermitian(stack)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expectations(product_ket("00"), stack)
+
+
+def test_expectations_refuses_a_ket_off_by_a_millionth():
+    state = np.array([1.0 + 1e-6, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="state is not normalized"):
+        expectations(state, np.array([pauli_tensor("Z", "Z")]))
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [pauli_tensor("Z", "Z"), np.zeros((2, 3, 3)), np.zeros((0, 4, 4)), np.zeros((1, 1, 4, 4))],
+    ids=["4x4", "kx3x3", "empty", "4-d"],
+)
+def test_expectations_refuses_anything_but_a_stack_of_4x4_matrices(ops):
+    with pytest.raises(ValueError):
+        expectations(product_ket("00"), ops)
 
 
 def test_apply_identity():

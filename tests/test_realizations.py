@@ -61,9 +61,18 @@ def test_derived_outcome_maps_are_read_only():
 def test_physical_projectors_are_read_only():
     for index in (1, 2, 3):
         for measurement in build_realization(index).physicals.values():
-            for p in measurement.projectors:
+            stack = measurement.projectors
+            assert stack.shape == (len(measurement.outcomes), 4, 4)
+            with pytest.raises(ValueError):
+                stack[0] = 0.0
+            for p in stack:
                 with pytest.raises(ValueError):
                     p[0, 0] = 0.0
+    # a hand-built measurement stacks a copy of the caller's matrices
+    matrices = [projector(product_ket(p)) for p in ("00", "01", "10", "11")]
+    measurement = PhysicalMeasurement("hand", (1, 2, 3, 4), matrices)
+    assert not measurement.projectors.flags.writeable
+    assert not any(np.shares_memory(measurement.projectors, m) for m in matrices)
 
 
 def test_realization2_cell_map_and_identifications():

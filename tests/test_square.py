@@ -140,6 +140,23 @@ def test_verify_eigentable_rejects_corrupt_values():
         verify_eigentable(corrupt)
 
 
+@pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
+def test_verify_eigentable_rejects_any_one_flipped_value_by_its_eigen_relation(context):
+    from pmsquare.square import EigenEntry
+
+    table = eigentable(context)
+    for row, entry in enumerate(table.entries):
+        for slot in range(3):
+            values = list(entry.values)
+            values[slot] = -values[slot]
+            flipped = list(table.entries)
+            flipped[row] = EigenEntry(entry.label, entry.vector, tuple(values))
+            # the flipped triple no longer multiplies to the context sign
+            assert int(np.prod(values)) != expected_context_sign(context)
+            with pytest.raises(InternalConsistencyError, match=f"{entry.label} is not a"):
+                verify_eigentable(EigenTable(context, tuple(flipped)))
+
+
 def test_verify_eigentable_rejects_swapped_triples():
     from pmsquare.square import EigenEntry
 
