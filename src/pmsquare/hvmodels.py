@@ -49,7 +49,6 @@ from .qm import (
     VERIFY_ATOL,
     apply,
     born_probability,
-    expectation,
     expectations,
     ket,
     pauli_tensor,
@@ -81,6 +80,28 @@ _SETTING_WINGS = {
     tuple(SIDE_SPEC[wing][0].lower() for wing in wings): wings for wings in PAIR_WINGS.values()
 }
 
+#: The outcome pairs (a, b) of each setting, in the order of the Fine system's rows.
+_PAIR_OUTCOMES = tuple(itertools.product(_SIGNS, repeat=2))
+
+
+def _pair_projector(pair: tuple[str, str], a: int, b: int) -> np.ndarray:
+    """The product of the left projector on outcome a and the right one on b."""
+    (left_axis, left), (right_axis, right) = (SIDE_SPEC[wing] for wing in _SETTING_WINGS[pair])
+    return side_projector(left_axis, a, left) @ side_projector(right_axis, b, right)
+
+
+@lru_cache(maxsize=None)
+def _pair_projectors() -> np.ndarray:
+    """The pair projectors of the Fine system's rows after the first, as one read-only stack.
+
+    Built on first use: its matrix products start the BLAS library, which
+    costs ~0.3 MB of memory in a process that never needs the Fine layer.
+    """
+    stack = np.array([_pair_projector(pair, a, b) for pair in PAIR_AXES for a, b in _PAIR_OUTCOMES])
+    stack.setflags(write=False)
+    return stack
+
+
 #: Coefficients of the Fine system: a normalization row, then for each pair
 #: of ``PAIR_AXES`` and outcome pair (a, b) the indicator of the wing-value tuples
 #: whose two wing slots read (a, b).
@@ -89,10 +110,14 @@ _MARGINALIZATION = np.array(
     + [
         [float((key[slot_a], key[slot_b]) == ab) for key in WING_VALUES]
         for slot_a, slot_b in (map(SIDE_IDS.index, _SETTING_WINGS[axes]) for axes in PAIR_AXES)
-        for ab in itertools.product(_SIGNS, repeat=2)
+        for ab in _PAIR_OUTCOMES
     ]
 )
 _MARGINALIZATION.setflags(write=False)
+
+#: The correlator operators sigma_s (x) sigma_t of ``PAIR_AXES``, as one read-only stack.
+_CORRELATORS = np.array([pauli_tensor(s.upper(), t.upper()) for s, t in PAIR_AXES])
+_CORRELATORS.setflags(write=False)
 
 #: Number G of guide-table buckets for sampling.  A power of two, so
 #: bucket k holds exactly the draws in [k/G, (k+1)/G): those whose 64-bit
@@ -221,11 +246,11 @@ def chsh_max_state() -> np.ndarray:
 
 
 def ch_report(state: np.ndarray) -> CHReport:
-    """Correlators E(s,t) = <sigma_s (x) sigma_t> for s,t in {z,x} and the CHSH values."""
-    correlators = {
-        (s, t): expectation(state, pauli_tensor(s.upper(), t.upper()))
-        for s, t in PAIR_AXES
-    }
+    """Correlators E(s,t) = <sigma_s (x) sigma_t> for s,t in {z,x} and the CHSH values.
+
+    The correlators are one checked ``expectations`` call over ``_CORRELATORS``.
+    """
+    correlators = dict(zip(PAIR_AXES, expectations(state, _CORRELATORS).tolist()))
     e1, e2, e3, e4 = (correlators[pair] for pair in PAIR_AXES)
     chsh_values = (
         e1 + e2 + e3 - e4,
@@ -237,26 +262,16 @@ def ch_report(state: np.ndarray) -> CHReport:
     return CHReport(correlators, chsh_values, max_abs, violated=max_abs > 2.0 + 1e-9)
 
 
-@lru_cache(maxsize=None)
-def _pair_projector(pair: tuple[str, str], a: int, b: int) -> np.ndarray:
-    """The read-only product of the left projector on outcome a and the right one on b."""
-    (left_axis, left), (right_axis, right) = (SIDE_SPEC[wing] for wing in _SETTING_WINGS[pair])
-    proj = side_projector(left_axis, a, left) @ side_projector(right_axis, b, right)
-    proj.setflags(write=False)
-    return proj
-
-
 def quantum_pair_joints(
     state: np.ndarray,
 ) -> dict[tuple[str, str], dict[tuple[int, int], float]]:
-    """Born joints of the four measurable one-wing polarization pairs."""
-    return {
-        pair: {
-            (a, b): expectation(state, _pair_projector(pair, a, b))
-            for a, b in itertools.product(_SIGNS, repeat=2)
-        }
-        for pair in PAIR_AXES
-    }
+    """Born joints of the four measurable one-wing polarization pairs.
+
+    The 16 joints are one checked ``expectations`` call over ``_pair_projectors()``.
+    """
+    values = iter(expectations(state, _pair_projectors()).tolist())
+    # zip stops at the end of a pair's outcomes before it takes another value
+    return {pair: dict(zip(_PAIR_OUTCOMES, values)) for pair in PAIR_AXES}
 
 
 def fine_system(state: np.ndarray) -> feasibility.LinearSystem:
@@ -266,9 +281,8 @@ def fine_system(state: np.ndarray) -> feasibility.LinearSystem:
     combination, the requirement that the joint's pairwise marginal equal
     the Born joint.
     """
-    joints = quantum_pair_joints(state)
-    rhs = [1.0, *(p for pair in PAIR_AXES for p in joints[pair].values())]
-    return feasibility.LinearSystem(_MARGINALIZATION, rhs)
+    joints = expectations(state, _pair_projectors())
+    return feasibility.LinearSystem(_MARGINALIZATION, [1.0, *joints])
 
 
 def fine_joint(state: np.ndarray) -> FineResult:
@@ -305,14 +319,33 @@ def _born_weights(state: np.ndarray, measurement_id: str) -> np.ndarray:
     return np.array([born_probability(state, e.vector) for e in entries])
 
 
+@lru_cache(maxsize=None)
+def _outcome_table(realization_index: int) -> np.ndarray:
+    """The read-only outcome table of the model of a realization; no state enters it.
+
+    Model 1 has one row per (Lzz, Lxx, B) outcome triple.  Models 2/3 have
+    one row per wing-value tuple (``consistent_pair_outcomes`` keeps their
+    order), each repeated for the 16 (B, B') outcome pairs.
+    """
+    if realization_index == 1:
+        table = np.array(list(itertools.product((1, 2, 3, 4), repeat=3)), dtype=np.int8)
+    else:
+        wings = WING_VALUES
+        if realization_index == 2:
+            wings = [[pair[pid] for pid in PAIR_WINGS] for pair in consistent_pair_outcomes()]
+        bell = list(itertools.product((1, 2, 3, 4), repeat=2))
+        table = np.hstack([np.repeat(wings, 16, axis=0), np.tile(bell, (16, 1))]).astype(np.int8)
+    table.setflags(write=False)
+    return table
+
+
 def build_model1(state: np.ndarray) -> HVModel:
     """Product model over the outcomes of Lzz, Lxx and B (64 hidden states)."""
     state = ket(state)
     ids = ("Lzz", "Lxx", "B")
     lzz, lxx, bell = (_born_weights(state, mid) for mid in ids)
     probabilities = np.multiply.outer(np.multiply.outer(lzz, lxx), bell).ravel()
-    outcomes = list(itertools.product((1, 2, 3, 4), repeat=3))
-    return HVModel(1, ids, outcomes, probabilities)
+    return HVModel(1, ids, _outcome_table(1), probabilities)
 
 
 def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
@@ -337,14 +370,8 @@ def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
     probabilities = np.multiply.outer(
         np.multiply.outer(joint, _born_weights(state, "B")), _born_weights(state, "Bprime")
     ).ravel()
-    # one row per wing-value tuple (consistent_pair_outcomes keeps their order),
-    # each repeated for the 16 (B, B') outcome pairs
-    wing_ids, wings = SIDE_IDS, WING_VALUES
-    if realization_index == 2:
-        wing_ids = tuple(PAIR_WINGS)
-        wings = [[pair[pid] for pid in wing_ids] for pair in consistent_pair_outcomes()]
-    bell = list(itertools.product((1, 2, 3, 4), repeat=2))
-    outcomes = np.hstack([np.repeat(wings, 16, axis=0), np.tile(bell, (16, 1))])
+    wing_ids = tuple(PAIR_WINGS) if realization_index == 2 else SIDE_IDS
+    outcomes = _outcome_table(realization_index)
     return HVModel(realization_index, wing_ids + ("B", "Bprime"), outcomes, probabilities, fine)
 
 
@@ -700,7 +727,10 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
         raise ValueError(f"shots must be positive, got {shots!r}")
     state = ket(state)
     probabilities = np.maximum(model.probabilities, 0.0)
-    cumulative = np.cumsum(probabilities / probabilities.sum())
+    total = probabilities.sum()
+    if not total > 0.0:
+        raise ValueError("the model has no positive weight to sample from")
+    cumulative = np.cumsum(probabilities / total)
     bit_generator = np.random.Philox(key=np.uint64(seed))
     chunk = _SAMPLE_CHUNK
     state_counts = _tally(

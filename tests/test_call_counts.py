@@ -7,7 +7,7 @@ verifies its point or certificate.  Counting the calls of one command,
 with warm caches, and the operators that ``is_hermitian`` receives pins
 that a refactor drops none of these checks: the operators checked per
 command equal the ``is_hermitian`` calls of the one-operator-per-call
-design (12, 44, 52, 52, 20, 36, 12 and 44 below).
+design (12, 44, 52, 52, 20, 36, 12, 44 and 4 below).
 """
 
 import collections
@@ -73,13 +73,13 @@ def _expected(born, expectation, expectations, hermitian, operators, normalized,
     "argv, expected",
     [
         (["model", "1", "--state", "psi1"], _expected(12, 0, 1, 1, 12, 25)),
-        (["model", "2", "--state", "psi1"], _expected(8, 20, 21, 21, 44, 37, 1)),
-        (["model", "3", "--state", "psi1"], _expected(8, 36, 37, 37, 52, 53, 1)),
-        (["model", "3", "--state", HAAR], _expected(8, 36, 37, 37, 52, 53, 1)),
-        (["model", "2", "--state", "chsh-max"], _expected(0, 20, 20, 20, 20, 20, 1)),
+        (["model", "2", "--state", "psi1"], _expected(8, 0, 3, 3, 44, 19, 1)),
+        (["model", "3", "--state", "psi1"], _expected(8, 0, 4, 4, 52, 20, 1)),
+        (["model", "3", "--state", HAAR], _expected(8, 0, 4, 4, 52, 20, 1)),
+        (["model", "2", "--state", "chsh-max"], _expected(0, 0, 2, 2, 20, 2, 1)),
         (
             ["sample", "3", "--state", "psi1", "--shots", "1000", "--seed", "1"],
-            _expected(8, 20, 21, 21, 36, 37, 1),
+            _expected(8, 0, 3, 3, 36, 19, 1),
         ),
         (
             ["sample", "1", "--state", "psi1", "--shots", "1000", "--seed", "1"],
@@ -87,8 +87,9 @@ def _expected(born, expectation, expectations, hermitian, operators, normalized,
         ),
         (
             ["sample", "2", "--state", "psi1", "--shots", "1000", "--seed", "1"],
-            _expected(8, 20, 21, 21, 44, 37, 1),
+            _expected(8, 0, 3, 3, 44, 19, 1),
         ),
+        (["ch", "--state", "psi1"], _expected(0, 0, 1, 1, 4, 1)),
     ],
     ids=[
         "model-1-psi1",
@@ -99,6 +100,7 @@ def _expected(born, expectation, expectations, hermitian, operators, normalized,
         "sample-3-psi1",
         "sample-1-psi1",
         "sample-2-psi1",
+        "ch-psi1",
     ],
 )
 def test_each_command_runs_the_checked_primitives_as_often_as_before(argv, expected):

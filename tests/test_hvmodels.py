@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 from pmsquare import hvmodels
 from pmsquare.errors import InfeasibleModelError, InternalConsistencyError
 from pmsquare.hvmodels import (
+    _CORRELATORS,
     _GUIDE_BUCKETS,
     _MARGINALIZATION,
     _SAMPLE_CHUNK,
     _guide_bounds,
+    _outcome_table,
+    _pair_projector,
+    _pair_projectors,
     _tally,
     PAIR_AXES,
     audit_noncontextuality,
@@ -34,9 +39,12 @@ from pmsquare.hvmodels import (
 )
 from pmsquare.qm import apply, pauli_tensor
 from pmsquare.realizations import (
+    PAIR_WINGS,
+    SIDE_IDS,
     WING_VALUES,
     build_realization,
     cell_classes,
+    consistent_pair_outcomes,
     translate_outcomes_inverse,
 )
 from pmsquare.square import CONTEXTS, NAMED_STATES, admissible_triples, context_cells
@@ -109,6 +117,68 @@ def test_quantum_pair_joints_are_distributions():
         for pair, dist in joints.items():
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
             assert all(p >= -1e-12 for p in dist.values())
+
+
+# Fresh Pauli factors and np.kron products, built apart from pmsquare.qm.
+_AXIS_MATRICES = {
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+}
+
+
+def _fresh_correlators():
+    return [np.kron(_AXIS_MATRICES[s], _AXIS_MATRICES[t]) for s, t in PAIR_AXES]
+
+
+def _fresh_pair_projectors():
+    one = np.eye(2, dtype=complex)
+    return [
+        np.kron((one + a * _AXIS_MATRICES[s]) / 2.0, (one + b * _AXIS_MATRICES[t]) / 2.0)
+        for s, t in PAIR_AXES
+        for a in (1, -1)
+        for b in (1, -1)
+    ]
+
+
+def _per_operator(state, ops):
+    return [np.vdot(state, op @ state).real for op in ops]
+
+
+@functools.cache
+def _crossings():
+    return tuple(boundary_crossing(*bracket) for bracket in ((1.0, 1.02), (2.65, 2.67)))
+
+
+_ORACLE_STATES = st.one_of(
+    st.sampled_from([*NAMED_STATES.values(), chsh_max_state()]),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_states(1, seed)[0]),
+    st.tuples(st.sampled_from((0, 1)), st.floats(-1e-6, 1e-6)).map(
+        lambda point: boundary_point(_crossings()[point[0]] + point[1])
+    ),
+)
+
+
+@given(_ORACLE_STATES)
+@settings(max_examples=300, deadline=None)
+def test_property_stacked_fine_layer_equals_a_per_operator_loop(state):
+    correlators = _per_operator(state, _fresh_correlators())
+    joints = _per_operator(state, _fresh_pair_projectors())
+    assert list(ch_report(state).correlators.values()) == correlators
+    assert [p for dist in quantum_pair_joints(state).values() for p in dist.values()] == joints
+    assert fine_system(state).rhs.tolist() == [1.0, *joints]
+
+
+def test_fine_layer_stacks_are_read_only_and_in_row_order():
+    assert _pair_projectors() is _pair_projectors()
+    for stack in (_CORRELATORS, _pair_projectors()):
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+    assert np.array_equal(_CORRELATORS, np.array(_fresh_correlators()))
+    assert np.array_equal(_pair_projectors(), np.array(_fresh_pair_projectors()))
+    keys = [(pair, a, b) for pair in PAIR_AXES for a, b in itertools.product((1, -1), repeat=2)]
+    assert len(_pair_projectors()) == len(keys)
+    for row, key in zip(_pair_projectors(), keys):
+        assert row.tobytes() == _pair_projector(*key).tobytes()
 
 
 # --- Fine construction -----------------------------------------------------------
@@ -422,6 +492,26 @@ def test_model_table_is_read_only_and_shape_checked():
         HVModel(1, model.measurement_ids, model.outcomes, model.probabilities[:-1])
 
 
+def test_outcome_tables_are_read_only_constants_of_the_realization():
+    bell = list(itertools.product((1, 2, 3, 4), repeat=2))
+    pair_wings = [[pair[pid] for pid in PAIR_WINGS] for pair in consistent_pair_outcomes()]
+    expected = {
+        1: np.array(list(itertools.product((1, 2, 3, 4), repeat=3))),
+        2: np.hstack([np.repeat(pair_wings, 16, axis=0), np.tile(bell, (16, 1))]),
+        3: np.hstack([np.repeat(WING_VALUES, 16, axis=0), np.tile(bell, (16, 1))]),
+    }
+    for index, table in expected.items():
+        assert _outcome_table(index) is _outcome_table(index)
+        assert np.array_equal(_outcome_table(index), table)
+        with pytest.raises(ValueError):
+            _outcome_table(index)[0, 0] = 2
+    models = [build_model1(PSI1), build_model23(PSI1, 2), build_model23(PSI1, 3)]
+    for model in models:
+        assert np.array_equal(model.outcomes, expected[model.realization_index])
+    assert models[1].measurement_ids == (*PAIR_WINGS, "B", "Bprime")
+    assert models[2].measurement_ids == (*SIDE_IDS, "B", "Bprime")
+
+
 @pytest.mark.parametrize(
     "outcomes, weights",
     [
@@ -732,6 +822,14 @@ def test_sampling_fails_a_model_a_few_bounds_off():
     worst = max(ms.tv_distance for ms in report.measurements.values())
     assert report.tv_bound < worst < 10 * report.tv_bound
     assert not report.passed
+
+
+@pytest.mark.parametrize("weights", [np.zeros(64), np.full(64, -1.0 / 64)])
+def test_sampling_refuses_a_model_with_no_positive_weight(weights):
+    model = build_model1(PSI1)
+    empty = HVModel(1, model.measurement_ids, model.outcomes, weights)
+    with pytest.raises(ValueError, match="no positive weight"):
+        sample_model(empty, PSI1, 100, seed=0)
 
 
 def test_sampling_point_mass():
