@@ -26,6 +26,7 @@ from .reports import Report, render_json, render_text, validate_envelope
 from .square import (
     CONTEXTS,
     NAMED_STATES,
+    Context,
     build_square,
     commutation_relation,
     context_from_name,
@@ -140,18 +141,34 @@ def _fine_doc(fine: hvmodels.FineResult) -> dict[str, Any]:
     return doc
 
 
-def _witness_doc(witness: hvmodels.ContextWitness | hvmodels.CellWitness) -> dict[str, Any]:
-    if isinstance(witness, hvmodels.ContextWitness):
-        doc = {"context": witness.context.name, "triple": [int(v) for v in witness.triple]}
-    else:
-        doc = {"cell": list(witness.cell), "values": [int(v) for v in witness.values]}
-    doc.update(
-        measurements=list(witness.measurement_ids),
-        state_index=witness.state_index,
-        outcomes={mid: int(o) for mid, o in sorted(witness.outcomes.items())},
-        probability=float(witness.probability),
-    )
-    return doc
+def _witness_docs(
+    model: hvmodels.HVModel, blocks: tuple[hvmodels.WitnessBlock, ...], cap: int
+) -> list[dict[str, Any]]:
+    """The first ``cap`` witnesses of each context or cell, in scan order."""
+    taken: dict[object, int] = {}
+    docs = []
+    for block in blocks:
+        states = block.states[: max(cap - taken.get(block.group, 0), 0)]
+        taken[block.group] = taken.get(block.group, 0) + len(states)
+        if isinstance(block.group, Context):  # a Context is a tuple too, so test it first
+            group, key = {"context": block.group.name}, "triple"
+        else:
+            group, key = {"cell": list(block.group)}, "values"
+        rows = model.outcomes[states].tolist()
+        values = block.values[: len(states)].tolist()
+        weights = model.probabilities[states].tolist()
+        for state, row, value, weight in zip(states.tolist(), rows, values, weights):
+            docs.append(
+                {
+                    **group,
+                    key: value,
+                    "measurements": list(block.measurement_ids),
+                    "state_index": state,
+                    "outcomes": dict(zip(model.measurement_ids, row)),
+                    "probability": weight,
+                }
+            )
+    return docs
 
 
 def _statistics_doc(stats: hvmodels.StatisticsReport) -> dict[str, Any]:
@@ -299,8 +316,8 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
     witnesses = hvmodels.violation_witnesses(model, realization)
 
     # at most max_witnesses per context and per cell, so that each stays represented
-    context_docs = [_witness_doc(w) for w in witnesses.first_context_witnesses(max_witnesses)]
-    cell_docs = [_witness_doc(w) for w in witnesses.first_cell_witnesses(max_witnesses)]
+    context_docs = _witness_docs(model, witnesses.context_blocks, max_witnesses)
+    cell_docs = _witness_docs(model, witnesses.cell_blocks, max_witnesses)
     results: dict[str, Any] = {
         "realization": index,
         "hidden_states": len(model.probabilities),

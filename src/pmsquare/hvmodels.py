@@ -28,8 +28,11 @@ simultaneously measurable context the induced triples are always
 admissible, which the same scan asserts.  What the scan needs of the
 realization (identification classes, outcome lookups, class choices and
 admissibility tables) is a read-only ``Realization.scan_plan``, built once
-per realization, so each scan is array gathers and table lookups.
-Marginals are tallied by one integer key per hidden state.
+per realization, so each scan is array gathers and table lookups.  Its
+``WitnessReport`` keeps each step's flagged hidden states as a
+``WitnessBlock`` of read-only row indices and values over the model
+table, plus exact counts.  Marginals are tallied by one integer key per
+hidden state.
 """
 
 from __future__ import annotations
@@ -453,8 +456,6 @@ def audit_noncontextuality(model: HVModel, realization: Realization) -> bool:
     derived responses are then outcome-map lookups keyed by the parent
     alone.  Returns False if the layout is corrupted.
     """
-    if model.realization_index != realization.index:
-        return False
     if sorted(model.measurement_ids) != sorted(realization.physicals):
         return False
     if np.any(model.probabilities < -POSITIVE_PROBABILITY):
@@ -468,30 +469,6 @@ def audit_noncontextuality(model: HVModel, realization: Realization) -> bool:
         if parent is None or set(derived.outcome_map) != set(parent.outcomes):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class ContextWitness:
-    """A hidden state whose triple in a non-simultaneous context is inadmissible."""
-
-    context: Context
-    measurement_ids: tuple[str, str, str]
-    state_index: int
-    outcomes: Mapping[str, int]
-    triple: tuple[int, int, int]
-    probability: float
-
-
-@dataclass(frozen=True)
-class CellWitness:
-    """A hidden state where two different realizers of one cell disagree."""
-
-    cell: tuple[int, int]
-    measurement_ids: tuple[str, str]
-    state_index: int
-    outcomes: Mapping[str, int]
-    values: tuple[int, int]
-    probability: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,12 +494,10 @@ class WitnessBlock:
 class WitnessReport:
     """The witness scan's findings, stored as index blocks over the model table.
 
-    The witness tuples are built on first access; the counts and the
-    ``first_*`` accessors read the blocks alone, so a caller that prints a
-    few witnesses pays only for those.
+    Each block lists the flagged rows of one scan step in scan order; the
+    counts are exact sums over the blocks.
     """
 
-    model: HVModel
     context_blocks: tuple[WitnessBlock, ...]
     cell_blocks: tuple[WitnessBlock, ...]
     simultaneous_blocks: tuple[WitnessBlock, ...]
@@ -539,45 +514,6 @@ class WitnessReport:
     @property
     def simultaneous_violation_count(self) -> int:
         return sum(len(block.states) for block in self.simultaneous_blocks)
-
-    @cached_property
-    def context_witnesses(self) -> tuple[ContextWitness, ...]:
-        return self._witnesses(ContextWitness, self.context_blocks)
-
-    @cached_property
-    def cell_witnesses(self) -> tuple[CellWitness, ...]:
-        return self._witnesses(CellWitness, self.cell_blocks)
-
-    @cached_property
-    def simultaneous_violations(self) -> tuple[ContextWitness, ...]:
-        return self._witnesses(ContextWitness, self.simultaneous_blocks)
-
-    def first_context_witnesses(self, cap: int) -> tuple[ContextWitness, ...]:
-        """The first ``cap`` context witnesses of each context, in scan order."""
-        return self._witnesses(ContextWitness, self.context_blocks, cap)
-
-    def first_cell_witnesses(self, cap: int) -> tuple[CellWitness, ...]:
-        """The first ``cap`` cell witnesses of each cell, in scan order."""
-        return self._witnesses(CellWitness, self.cell_blocks, cap)
-
-    def _witnesses(self, kind, blocks, cap: int | None = None) -> tuple:
-        ids = self.model.measurement_ids
-        taken: dict[object, int] = {}
-        witnesses = []
-        for block in blocks:
-            states = block.states
-            if cap is not None:
-                states = states[: max(cap - taken.get(block.group, 0), 0)]
-                taken[block.group] = taken.get(block.group, 0) + len(states)
-            rows = self.model.outcomes[states].tolist()
-            outcomes = [MappingProxyType(dict(zip(ids, row))) for row in rows]
-            weights = self.model.probabilities[states].tolist()
-            values = block.values[: len(states)].tolist()
-            witnesses += [
-                kind(block.group, block.measurement_ids, state, mapping, tuple(v), w)
-                for state, mapping, v, w in zip(states.tolist(), outcomes, values, weights)
-            ]
-        return tuple(witnesses)
 
 
 def violation_witnesses(model: HVModel, realization: Realization) -> WitnessReport:
@@ -633,7 +569,6 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
             cell_blocks.append(WitnessBlock(cell, names, positive[disagree], values[disagree]))
 
     return WitnessReport(
-        model,
         tuple(context_blocks),
         tuple(cell_blocks),
         tuple(simultaneous_blocks),

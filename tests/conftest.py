@@ -1,7 +1,8 @@
-"""Shared helpers: seeded state corpora and independent linear-algebra oracles."""
+"""Shared helpers: seeded state corpora, independent linear-algebra oracles, witness rows."""
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -77,3 +78,27 @@ def boundary_slope(t: float) -> float:
     ahead = ch_report(boundary_point(t + 1e-6)).max_abs
     behind = ch_report(boundary_point(t - 1e-6)).max_abs
     return (ahead - behind) / 2e-6
+
+
+#: One flagged hidden state of a witness scan: its context or cell, the
+#: realizer ids, its row in the model table, the triple or the two
+#: disagreeing values, its weight and its outcome per measurement id.
+Witness = collections.namedtuple(
+    "Witness", "group measurement_ids state_index values probability outcomes"
+)
+
+
+def witness_rows(model, blocks) -> list[Witness]:
+    """One ``Witness`` per state of each ``WitnessBlock``, in scan order."""
+    return [
+        Witness(
+            block.group,
+            block.measurement_ids,
+            state,
+            tuple(values),
+            model.probabilities[state].item(),
+            dict(zip(model.measurement_ids, model.outcomes[state].tolist())),
+        )
+        for block in blocks
+        for state, values in zip(block.states.tolist(), block.values.tolist())
+    ]

@@ -37,7 +37,7 @@ from pmsquare.square import (
     search_assignments,
 )
 
-from conftest import random_product_states, random_states
+from conftest import random_product_states, random_states, witness_rows
 
 ROWS = tuple(Context("row", i) for i in range(3))
 COLS = tuple(Context("column", i) for i in range(3))
@@ -171,15 +171,16 @@ def test_criterion_06_model23_statistics(nonviolating_states):
 
 def test_criterion_07_witnesses(nonviolating_states):
     psi1 = NAMED_STATES["psi1"]
-    report = violation_witnesses(build_model1(psi1), build_realization(1))
+    model1 = build_model1(psi1)
+    report = violation_witnesses(model1, build_realization(1))
     hits = [
         w
-        for w in report.context_witnesses
-        if w.context.name == "col2"
+        for w in witness_rows(model1, report.context_blocks)
+        if w.group.name == "col2"
         and w.outcomes == {"Lzz": 1, "Lxx": 1, "B": 1}
-        and w.triple == (1, 1, 1)
+        and w.values == (1, 1, 1)
     ]
-    ok = bool(hits) and report.simultaneous_violations == ()
+    ok = bool(hits) and report.simultaneous_violation_count == 0
 
     # seeded search for a state giving the mismatched double realization of
     # the upper-right cell: pair outcome (+1,+1) vs fourth Bell' outcome
@@ -187,10 +188,10 @@ def test_criterion_07_witnesses(nonviolating_states):
     for state in nonviolating_states[:25]:
         model = build_model23(state, 2)
         witness_report = violation_witnesses(model, build_realization(2))
-        ok = ok and witness_report.simultaneous_violations == ()
-        for w in witness_report.cell_witnesses:
+        ok = ok and witness_report.simultaneous_violation_count == 0
+        for w in witness_rows(model, witness_report.cell_blocks):
             if (
-                w.cell == (0, 2)
+                w.group == (0, 2)
                 and w.measurement_ids == ("t(Lzz)", "fp(Bprime)")
                 and w.outcomes["Lzz"] == 1
                 and w.outcomes["Bprime"] == 4
@@ -203,11 +204,11 @@ def test_criterion_07_witnesses(nonviolating_states):
     # shared-parent contexts must stay clean for every tested model and state
     for state in list(NAMED_STATES.values()):
         r = violation_witnesses(build_model1(state), build_realization(1))
-        ok = ok and r.simultaneous_violations == ()
+        ok = ok and r.simultaneous_violation_count == 0
     for state in nonviolating_states[:25]:
         for index in (2, 3):
             r = violation_witnesses(build_model23(state, index), build_realization(index))
-            ok = ok and r.simultaneous_violations == ()
+            ok = ok and r.simultaneous_violation_count == 0
     announce(7, "contradiction-avoidance witnesses", ok)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmsquare import hvmodels
+from pmsquare import cli, hvmodels
 from pmsquare.errors import InfeasibleModelError, InternalConsistencyError
 from pmsquare.hvmodels import (
     _CORRELATORS,
@@ -47,12 +47,26 @@ from pmsquare.realizations import (
     consistent_pair_outcomes,
     translate_outcomes_inverse,
 )
-from pmsquare.square import CONTEXTS, NAMED_STATES, admissible_triples, context_cells
+from pmsquare.square import CONTEXTS, NAMED_STATES, Context, admissible_triples, context_cells
 
-from conftest import boundary_crossing, boundary_point, boundary_slope, random_states
+from conftest import (
+    boundary_crossing,
+    boundary_point,
+    boundary_slope,
+    random_states,
+    witness_rows,
+)
 
 PSI1 = NAMED_STATES["psi1"]
 SINGLET = NAMED_STATES["phiPP4"]
+HAAR = np.array(
+    [
+        complex(re, im)
+        for re, im in json.loads(
+            (Path(__file__).parent / "golden" / "haar_state.json").read_text(encoding="utf-8")
+        )["amplitudes"]
+    ]
+)
 
 
 # --- CHSH reporting -----------------------------------------------------------
@@ -72,6 +86,14 @@ def test_chsh_max_state_is_top_eigenvector():
     top = eigenvectors[:, np.argmax(eigenvalues)]
     assert abs(np.vdot(top, state)) == pytest.approx(1.0, abs=1e-12)
     assert max(eigenvalues) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+
+
+def test_chsh_max_state_refuses_a_vector_off_the_eigenvalue(monkeypatch):
+    # a residual of 1e-6 on the eigenvector check is far above VERIFY_ATOL
+    exact = hvmodels.apply
+    monkeypatch.setattr(hvmodels, "apply", lambda op, v: exact(op, v) + 1e-6)
+    with pytest.raises(InternalConsistencyError, match="eigenvector check"):
+        chsh_max_state()
 
 
 def test_ch_report_product_state():
@@ -444,6 +466,25 @@ def test_model23_statistics_within_tolerance():
     assert len(stats.pair_joint_deviations) == 4
 
 
+def test_model3_with_right_marginals_but_product_pair_joints_fails():
+    # the wing joint replaced by the product of its four one-wing marginals
+    # keeps every single-measurement marginal but not the pair joints
+    model = build_model23(HAAR, 3)
+    weights = model.probabilities.reshape(len(WING_VALUES), 16)
+    joint, bell = weights.sum(axis=1), weights.sum(axis=0)
+    keys = np.array(WING_VALUES)
+    product = np.ones(len(WING_VALUES))
+    for slot in range(len(SIDE_IDS)):
+        product *= [joint[keys[:, slot] == v].sum() for v in keys[:, slot]]
+    weights = np.multiply.outer(product, bell).ravel()
+    broken = HVModel(3, model.measurement_ids, model.outcomes, weights)
+    stats = reproduce_statistics(broken, HAAR)
+    assert max(stats.measurement_deviations.values()) <= 1e-12
+    assert all(deviation > 1e-9 for deviation in stats.pair_joint_deviations.values())
+    assert len(stats.pair_joint_deviations) == 4
+    assert not stats.passed
+
+
 def test_model23_refuses_violating_state_with_diagnostics():
     with pytest.raises(InfeasibleModelError) as excinfo:
         build_model23(chsh_max_state(), 3)
@@ -477,6 +518,16 @@ def test_audit_rejects_corrupted_layouts():
     assert not audit_noncontextuality(bad_outcome, realization)
     negative = HVModel(1, model.measurement_ids, [[1, 1, 1]], [-0.5])
     assert not audit_noncontextuality(negative, realization)
+
+
+def test_audit_rejects_an_outcome_map_missing_a_parent_outcome():
+    realization = build_realization(1)
+    derived = dict(realization.derived)
+    shortened = {o: v for o, v in derived["f(B)"].outcome_map.items() if o != 4}
+    derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map=shortened)
+    broken = dataclasses.replace(realization, derived=derived)
+    assert audit_noncontextuality(build_model1(PSI1), realization)
+    assert not audit_noncontextuality(build_model1(PSI1), broken)
 
 
 def test_model_table_is_read_only_and_shape_checked():
@@ -623,9 +674,9 @@ def test_witness_scan_matches_a_per_state_loop():
                         if triple not in admissible_triples(context):
                             names = tuple(cls[0] for cls in choice)
                             expected_context.append((context, names, i, triple, s.probability))
-            found = report.context_witnesses + report.simultaneous_violations
+            found = witness_rows(model, report.context_blocks + report.simultaneous_blocks)
             assert sorted(
-                (w.context, w.measurement_ids, w.state_index, w.triple, w.probability)
+                (w.group, w.measurement_ids, w.state_index, w.values, w.probability)
                 for w in found
             ) == sorted(expected_context)
             assert all(w.outcomes == model.states[w.state_index].outcomes for w in found)
@@ -638,58 +689,63 @@ def test_witness_scan_matches_a_per_state_loop():
                         if values[0] != values[1]:
                             expected_cell.append((cell, (a[0], b[0]), i, values, s.probability))
             assert [
-                (w.cell, w.measurement_ids, w.state_index, w.values, w.probability)
-                for w in report.cell_witnesses
+                (w.group, w.measurement_ids, w.state_index, w.values, w.probability)
+                for w in witness_rows(model, report.cell_blocks)
             ] == expected_cell
 
 
-HAAR = np.array(
-    [
-        complex(re, im)
-        for re, im in json.loads(
-            (Path(__file__).parent / "golden" / "haar_state.json").read_text(encoding="utf-8")
-        )["amplitudes"]
-    ]
-)
-
-
-def _first_per_group(witnesses, group, cap):
+def _first_per_group(witnesses, cap):
     kept = {}
     out = []
     for witness in witnesses:
-        kept[group(witness)] = kept.get(group(witness), 0) + 1
-        if kept[group(witness)] <= cap:
+        kept[witness.group] = kept.get(witness.group, 0) + 1
+        if kept[witness.group] <= cap:
             out.append(witness)
-    return tuple(out)
+    return out
+
+
+def _witness_doc(witness):
+    if isinstance(witness.group, Context):
+        doc = {"context": witness.group.name, "triple": list(witness.values)}
+    else:
+        doc = {"cell": list(witness.group), "values": list(witness.values)}
+    doc.update(
+        measurements=list(witness.measurement_ids),
+        state_index=witness.state_index,
+        outcomes=witness.outcomes,
+        probability=witness.probability,
+    )
+    return doc
 
 
 def test_witness_counts_and_capped_lists_read_the_full_tuples():
     for state in (PSI1, HAAR):
         for model in _models_for(state):
-            realization = build_realization(model.realization_index)
-            capped = violation_witnesses(model, realization)
-            report = violation_witnesses(model, realization)
-            assert report.context_count == len(report.context_witnesses) > 0
-            assert report.cell_count == len(report.cell_witnesses)
-            assert report.simultaneous_violation_count == len(report.simultaneous_violations)
+            report = violation_witnesses(model, build_realization(model.realization_index))
+            context_rows = witness_rows(model, report.context_blocks)
+            cell_rows = witness_rows(model, report.cell_blocks)
+            assert report.context_count == len(context_rows) > 0
+            assert report.cell_count == len(cell_rows)
+            simultaneous_rows = witness_rows(model, report.simultaneous_blocks)
+            assert report.simultaneous_violation_count == len(simultaneous_rows)
             for cap in (0, 1, 12, 10_000):
-                assert capped.first_context_witnesses(cap) == _first_per_group(
-                    report.context_witnesses, lambda w: w.context, cap
-                )
-                assert capped.first_cell_witnesses(cap) == _first_per_group(
-                    report.cell_witnesses, lambda w: w.cell, cap
-                )
-            assert capped.first_context_witnesses(10_000) == report.context_witnesses
+                for blocks, rows in (
+                    (report.context_blocks, context_rows),
+                    (report.cell_blocks, cell_rows),
+                ):
+                    expected = [_witness_doc(w) for w in _first_per_group(rows, cap)]
+                    assert cli._witness_docs(model, blocks, cap) == expected
+            all_docs = [_witness_doc(w) for w in context_rows]
+            assert cli._witness_docs(model, report.context_blocks, 10_000) == all_docs
 
 
 def test_witness_report_is_read_only():
     model = build_model23(HAAR, 2)
     report = violation_witnesses(model, build_realization(2))
-    assert report.context_witnesses and report.cell_blocks
+    assert report.context_blocks and report.cell_blocks
     names = [
-        "model", "context_blocks", "cell_blocks", "simultaneous_blocks",
-        "simultaneous_choices_checked", "context_witnesses", "cell_witnesses",
-        "simultaneous_violations", "context_count", "cell_count", "new_attribute",
+        "context_blocks", "cell_blocks", "simultaneous_blocks", "simultaneous_choices_checked",
+        "context_count", "cell_count", "simultaneous_violation_count", "new_attribute",
     ]
     for name in names:
         with pytest.raises(AttributeError):
@@ -700,20 +756,18 @@ def test_witness_report_is_read_only():
     for array in (block.states, block.values):
         with pytest.raises(ValueError):
             array[0] = 0
-    for witness in report.context_witnesses + report.cell_witnesses:
-        with pytest.raises(TypeError):
-            witness.outcomes["B"] = 99
     # negating f(B) makes every row-2 triple inadmissible, a simultaneous violation
     cached = build_realization(1)
     derived = dict(cached.derived)
     flipped = {o: -v for o, v in derived["f(B)"].outcome_map.items()}
     derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map=flipped)
     broken = dataclasses.replace(cached, derived=derived)
-    violations = violation_witnesses(build_model1(PSI1), broken).simultaneous_violations
+    violations = violation_witnesses(build_model1(PSI1), broken).simultaneous_blocks
     assert violations
-    for witness in violations:
-        with pytest.raises(TypeError):
-            witness.outcomes["B"] = 99
+    for block in violations:
+        for array in (block.states, block.values):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_model2_is_model3_with_translated_wings():
@@ -734,18 +788,18 @@ def test_model2_is_model3_with_translated_wings():
 def test_witnesses_model1_psi1():
     model = build_model1(PSI1)
     report = violation_witnesses(model, build_realization(1))
-    assert report.simultaneous_violations == ()
+    assert report.simultaneous_violation_count == 0
     # rows are realized inside single physical measurements: never witnessed
-    assert all(w.context.kind == "column" for w in report.context_witnesses)
+    assert all(block.group.kind == "column" for block in report.context_blocks)
     lam111 = [
         w
-        for w in report.context_witnesses
-        if w.context.name == "col2" and w.outcomes == {"Lzz": 1, "Lxx": 1, "B": 1}
+        for w in witness_rows(model, report.context_blocks)
+        if w.group.name == "col2" and w.outcomes == {"Lzz": 1, "Lxx": 1, "B": 1}
     ]
     assert len(lam111) == 1
-    assert lam111[0].triple == (1, 1, 1)
+    assert lam111[0].values == (1, 1, 1)
     assert lam111[0].probability == pytest.approx(1 / 16, abs=1e-12)
-    assert report.cell_witnesses == ()
+    assert report.cell_blocks == ()
 
 
 def test_witnesses_model23_cell_disagreements():
@@ -754,11 +808,11 @@ def test_witnesses_model23_cell_disagreements():
     assert not ch_report(state).violated
     model = build_model23(state, 2)
     report = violation_witnesses(model, build_realization(2))
-    assert report.simultaneous_violations == ()
+    assert report.simultaneous_violation_count == 0
     hits = [
         w
-        for w in report.cell_witnesses
-        if w.cell == (0, 2)
+        for w in witness_rows(model, report.cell_blocks)
+        if w.group == (0, 2)
         and w.measurement_ids == ("t(Lzz)", "fp(Bprime)")
         and w.outcomes["Lzz"] == 1
         and w.outcomes["Bprime"] == 4
@@ -772,13 +826,13 @@ def test_witnesses_simultaneous_contexts_are_clean_across_states():
     for state in [PSI1, SINGLET, *random_states(10, seed=23)]:
         model1 = build_model1(state)
         report1 = violation_witnesses(model1, build_realization(1))
-        assert report1.simultaneous_violations == ()
+        assert report1.simultaneous_violation_count == 0
         if ch_report(state).violated:
             continue
         for index in (2, 3):
             model = build_model23(state, index)
             report = violation_witnesses(model, build_realization(index))
-            assert report.simultaneous_violations == ()
+            assert report.simultaneous_violation_count == 0
             assert report.simultaneous_choices_checked > 0
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmsquare import qm
+from pmsquare.errors import InternalConsistencyError
 from pmsquare.qm import (
     PAULI,
     apply,
@@ -190,6 +192,14 @@ def test_expectations_checks_every_operator_of_the_stack():
     stack = np.array([pauli_tensor(l, r) for l in LABELS for r in LABELS] + [skew])
     assert is_hermitian(stack[:-1]) and not is_hermitian(stack)
     with pytest.raises(ValueError, match="not Hermitian"):
+        expectations(product_ket("00"), stack)
+
+
+def test_expectations_refuses_a_complex_value(monkeypatch):
+    # 1j * I passes a Hermiticity check that always says yes; <1j * I> = 1j
+    monkeypatch.setattr(qm, "is_hermitian", lambda op: True)
+    stack = np.array([pauli_tensor("Z", "Z"), 1j * np.eye(4)])
+    with pytest.raises(InternalConsistencyError, match="came out complex"):
         expectations(product_ket("00"), stack)
 
 
