@@ -31,8 +31,8 @@ admissibility tables) is a read-only ``Realization.scan_plan``, built once
 per realization, so each scan is array gathers and table lookups.  Its
 ``WitnessReport`` keeps each step's flagged hidden states as a
 ``WitnessBlock`` of read-only row indices and values over the model
-table, plus exact counts.  Marginals are tallied by one integer key per
-hidden state.
+table, plus exact counts.  Marginals, pair joints and sampled shot counts
+are all totalled by one slot pass over the outcome table.
 """
 
 from __future__ import annotations
@@ -205,23 +205,18 @@ class HVModel:
         """Every hidden state's outcome of one physical measurement."""
         return self.outcomes[:, self.measurement_ids.index(measurement_id)]
 
-    def _tally(self, *measurement_ids: str) -> dict[tuple[int, ...], float]:
-        # the outcomes of a row, shifted to 0..255, are the digits of one integer
-        # key that sorts as the rows do; bincount adds the weights in state
-        # order, as a loop over the states does
-        dims = (256,) * len(measurement_ids)
-        digits = [self.column(mid).astype(np.intp) + 128 for mid in measurement_ids]
-        keys, inverse = np.unique(np.ravel_multi_index(digits, dims), return_inverse=True)
-        totals = np.bincount(inverse, weights=self.probabilities, minlength=len(keys))
-        rows = (np.array(np.unravel_index(keys, dims)) - 128).T.tolist()
-        return dict(zip(map(tuple, rows), totals.tolist()))
 
-    def marginal(self, measurement_id: str) -> dict[int, float]:
-        """Model-induced outcome distribution of one physical measurement."""
-        return {key[0]: p for key, p in self._tally(measurement_id).items()}
+def _slot_totals(outcomes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Slot [m, o + 128] sums ``weights[s]`` over the rows s with ``outcomes[s, m] == o``.
 
-    def joint_marginal(self, id_a: str, id_b: str) -> dict[tuple[int, int], float]:
-        return self._tally(id_a, id_b)
+    One ``np.add.at`` pass in state order, so every slot adds its weights
+    as a loop over the states does; int64 counts stay exact.
+    """
+    columns = outcomes.shape[1]
+    slots = outcomes.astype(np.intp) + 128 + 256 * np.arange(columns)
+    totals = np.zeros(columns * 256, dtype=weights.dtype)
+    np.add.at(totals, slots, weights[:, None])
+    return totals.reshape(columns, 256)
 
 
 def chsh_max_state() -> np.ndarray:
@@ -418,20 +413,21 @@ def reproduce_statistics(model: HVModel, state: np.ndarray) -> StatisticsReport:
     """
     state = ket(state)
     tolerance = 1e-12 if model.realization_index == 1 else 1e-9
+    totals = _slot_totals(model.outcomes, model.probabilities).tolist()
     deviations: dict[str, float] = {}
-    for mid, born in _born_distributions(model, state).items():
-        marginal = model.marginal(mid)
-        deviations[mid] = max(
-            abs(marginal.get(outcome, 0.0) - p) for outcome, p in born.items()
-        )
+    for row, (mid, born) in zip(totals, _born_distributions(model, state).items()):
+        deviations[mid] = max(abs(row[outcome + 128] - p) for outcome, p in born.items())
     pair_deviations: dict[str, float] = {}
     if model.realization_index == 3:
-        born_joints = quantum_pair_joints(state)
-        for pair in PAIR_AXES:
-            id_a, id_b = _SETTING_WINGS[pair]
-            joint = model.joint_marginal(id_a, id_b)
+        # key 2a + b tells the four (a, b) of +/-1 wings apart; the mass of any
+        # other wing value already shows as that wing's one-wing deviation
+        settings = [_SETTING_WINGS[pair] for pair in PAIR_AXES]
+        keys = np.stack([2 * model.column(a) + model.column(b) for a, b in settings], axis=1)
+        joints = _slot_totals(keys, model.probabilities).tolist()
+        born_joints = quantum_pair_joints(state).values()
+        for (id_a, id_b), row, born in zip(settings, joints, born_joints):
             pair_deviations[f"{id_a},{id_b}"] = max(
-                abs(joint.get(key, 0.0) - p) for key, p in born_joints[pair].items()
+                abs(row[2 * a + b + 128] - p) for (a, b), p in born.items()
             )
     # a sequential sum, as np.sum's pairwise order would change the last bits
     probability_sum = float(np.cumsum(model.probabilities)[-1])
@@ -672,15 +668,12 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
         cumulative,
         (bit_generator.random_raw(min(chunk, shots - start)) for start in range(0, shots, chunk)),
     )
-    # slot 256 m + o + 128 counts the shots of outcome o of measurement m, in one exact int64 pass
-    slots = model.outcomes.astype(np.intp) + 128 + 256 * np.arange(len(model.measurement_ids))
-    totals = np.zeros(slots.shape[1] * 256, dtype=np.int64)
-    np.add.at(totals, slots, state_counts[:, None])
+    totals = _slot_totals(model.outcomes, state_counts)
 
     tv_bound = 5.0 / math.sqrt(shots)
     measurements: dict[str, MeasurementSample] = {}
     borns = _born_distributions(model, state)
-    for mid, row in zip(model.measurement_ids, totals.reshape(-1, 256).tolist()):
+    for mid, row in zip(model.measurement_ids, totals.tolist()):
         born = borns[mid]
         counts = {outcome: row[outcome + 128] for outcome in born}
         frequencies = {outcome: count / shots for outcome, count in counts.items()}

@@ -1,16 +1,20 @@
-"""Every public top-level name of the package is used by something other than its tests.
+"""Every public name of the package is used by something other than its tests.
 
 A name defined at the top level of ``src/pmsquare/*.py`` (a function, a
-class or an assigned constant whose name does not start with ``_``) must
-be read in ``src/`` outside its own definition and ``__init__.py``, appear
-in ``perfbench/``, or be named in README.md.  A name that only the tests
-reach is code nothing needs: delete it, or document it as library API.
+class or an assigned constant whose name does not start with ``_``), and
+a public method or property of a public class, must be read in ``src/``
+outside its own definition and ``__init__.py``, appear in ``perfbench/``,
+or be named in README.md.  A name that only the tests reach is code
+nothing needs: delete it, or document it as library API.  Members are
+reported as ``Class.member`` and count as read wherever an attribute of
+their name is read.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,21 +34,39 @@ def _defined_names(statement: ast.stmt) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
-def _read_names(statement: ast.stmt) -> set[str]:
-    """The identifiers a statement reads, as bare names or as attributes."""
+def _public_members(statement: ast.stmt) -> list[ast.FunctionDef]:
+    """The public methods and properties of a public class statement."""
+    if not isinstance(statement, ast.ClassDef) or statement.name.startswith("_"):
+        return []
+    return [
+        node
+        for node in statement.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _read_names(statement: ast.AST, skip: Sequence[ast.AST] = ()) -> set[str]:
+    """The identifiers a statement reads, as bare names or as attributes, outside ``skip``."""
     read = set()
-    for node in ast.walk(statement):
+    nodes = [statement]
+    while nodes:
+        node = nodes.pop()
+        if any(node is skipped for skipped in skip):
+            continue
         if isinstance(node, ast.Name):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
+        nodes.extend(ast.iter_child_nodes(node))
     return read
 
 
 def _surface(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
     """Public names (name -> module) and the names read outside their own definitions.
 
-    ``sources`` maps each module name to its source text.
+    ``sources`` maps each module name to its source text.  A member is
+    defined as ``Class.member``; the reads inside its own body do not count.
     """
     defined: dict[str, str] = {}
     used: set[str] = set()
@@ -53,7 +75,12 @@ def _surface(sources: dict[str, str]) -> tuple[dict[str, str], set[str]]:
             own = _defined_names(statement)
             for name in own:
                 defined[name] = module
-            used |= _read_names(statement) - set(own)
+            members = _public_members(statement)
+            read = _read_names(statement, skip=members)
+            for member in members:
+                defined[f"{statement.name}.{member.name}"] = module
+                read |= _read_names(member) - {member.name}
+            used |= read - set(own)
     return defined, used
 
 
@@ -78,10 +105,13 @@ def test_every_public_name_is_used_outside_the_tests():
     assert defined["TOLERANCE"] == "feasibility"
     texts = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    # the scan sees a method and a property
+    assert defined["HVModel.column"] == "hvmodels"
+    assert defined["WitnessReport.context_count"] == "hvmodels"
     unused = [
         f"{module}.{name}"
         for name, module in sorted(defined.items(), key=lambda item: (item[1], item[0]))
-        if name not in used and not _mentioned(name, texts)
+        if name.split(".")[-1] not in used and not _mentioned(name.split(".")[-1], texts)
     ]
     assert not unused, f"public names only the tests use: {unused}"
 
@@ -99,6 +129,29 @@ def test_a_definition_does_not_count_as_its_own_use():
         "_private = LIMIT\n"
     )
     defined, used = _surface({"m": source})
-    assert defined == {"helper": "m", "Node": "m", "used": "m", "LIMIT": "m"}
+    assert defined == {"helper": "m", "Node": "m", "Node.copy": "m", "used": "m", "LIMIT": "m"}
     assert {"used", "LIMIT", "used_attr"} <= used
     assert not {"helper", "Node"} & used
+
+
+def test_a_member_counts_as_used_by_another_member_but_not_by_itself():
+    source = (
+        "class Tree:\n"
+        "    size = 0\n"
+        "    def depth(self):\n"
+        "        return self.depth() + self.width\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return self.leaves\n"
+        "    def leaves(self):\n"
+        "        return self._hidden()\n"
+        "    def _hidden(self):\n"
+        "        return self.size\n"
+        "class _Private:\n"
+        "    def helper(self):\n"
+        "        return 0\n"
+    )
+    defined, used = _surface({"m": source})
+    assert set(defined) == {"Tree", "Tree.depth", "Tree.width", "Tree.leaves"}
+    assert {"width", "leaves", "size", "_hidden"} <= used
+    assert "depth" not in used

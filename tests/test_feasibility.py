@@ -45,6 +45,13 @@ def test_single_variable_feasible():
     assert np.array_equal(result.point, np.array([1.0]))
 
 
+def test_a_small_pivot_above_the_pivot_tolerance_is_taken():
+    # a ratio-test pivot of 1e-8 is a real coefficient, not round-off
+    result = solve(LinearSystem([[1e-8]], [1e-8]))
+    assert result.status == "feasible"
+    assert np.array_equal(result.point, np.array([1.0]))
+
+
 def test_single_variable_infeasible_with_unit_certificate():
     system = LinearSystem(np.array([[1.0]]), np.array([-1.0]))
     result = solve(system)

@@ -22,6 +22,7 @@ from pmsquare.hvmodels import (
     _outcome_table,
     _pair_projector,
     _pair_projectors,
+    _slot_totals,
     _tally,
     PAIR_AXES,
     audit_noncontextuality,
@@ -364,6 +365,25 @@ def test_fine_results_are_read_only():
 # --- model 1 -----------------------------------------------------------------
 
 
+def _loop_tally(model, *ids, weights=None, key=lambda outcomes: outcomes):
+    """The per-state reference tally, in state order.
+
+    Each state's weight is added under ``key`` of its outcome tuple of
+    ``ids``; ``weights`` replaces the model's probabilities.
+    """
+    if weights is None:
+        weights = [state.probability for state in model.states]
+    dist = {}
+    for state, weight in zip(model.states, weights):
+        k = key(tuple(state.outcomes[mid] for mid in ids))
+        dist[k] = dist.get(k, 0) + weight
+    return dist
+
+
+def _loop_marginal(model, mid, weights=None):
+    return _loop_tally(model, mid, weights=weights, key=lambda outcomes: outcomes[0])
+
+
 def test_model1_psi1_probabilities():
     model = build_model1(PSI1)
     assert len(model.states) == 64
@@ -377,7 +397,7 @@ def test_model1_psi1_probabilities():
 
 def test_model1_bell_eigenstate_pins_b_outcome():
     model = build_model1(NAMED_STATES["psiPP1"])
-    marginal = model.marginal("B")
+    marginal = _loop_marginal(model, "B")
     assert marginal[1] == pytest.approx(1.0, abs=1e-12)
     for outcome in (2, 3, 4):
         assert marginal[outcome] == pytest.approx(0.0, abs=1e-12)
@@ -430,14 +450,14 @@ def test_model23_psi1_structure():
         if state.probability > 1e-12:
             assert state.outcomes["Ll_z"] == 1
             assert state.outcomes["Lr_z"] == 1
-    b_marginal = model.marginal("B")
+    b_marginal = _loop_marginal(model, "B")
     for outcome in (1, 2, 3, 4):
         assert b_marginal[outcome] == pytest.approx(0.25, abs=1e-9)
 
 
 def test_model23_bprime_eigenstate_pins_outcome():
     model = build_model23(NAMED_STATES["phiPP1"], 3)
-    marginal = model.marginal("Bprime")
+    marginal = _loop_marginal(model, "Bprime")
     assert marginal[1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -482,6 +502,21 @@ def test_model3_with_right_marginals_but_product_pair_joints_fails():
     assert max(stats.measurement_deviations.values()) <= 1e-12
     assert all(deviation > 1e-9 for deviation in stats.pair_joint_deviations.values())
     assert len(stats.pair_joint_deviations) == 4
+    assert not stats.passed
+
+
+def test_model3_wing_value_off_plus_minus_one_shows_as_a_one_wing_deviation():
+    # the pair keys 2a + b only tell +/-1 wings apart; a row whose wing reads
+    # 3 keeps its weight out of both outcomes of that wing's own marginal
+    model = build_model23(HAAR, 3)
+    heaviest = int(np.argmax(model.probabilities))
+    table = model.outcomes.copy()
+    table[heaviest, model.measurement_ids.index("Ll_z")] = 3
+    broken = HVModel(3, model.measurement_ids, table, model.probabilities, model.fine)
+    stats = reproduce_statistics(broken, HAAR)
+    weight = model.probabilities[heaviest]
+    assert weight > 0.05
+    assert stats.measurement_deviations["Ll_z"] == pytest.approx(weight, abs=1e-12)
     assert not stats.passed
 
 
@@ -577,19 +612,16 @@ def test_model_table_refuses_values_it_cannot_hold(outcomes, weights):
         HVModel(1, ("Lzz", "Lxx", "B"), outcomes, weights)
 
 
-def _loop_tally(model, *ids):
-    dist = {}
-    for state in model.states:
-        key = tuple(state.outcomes[mid] for mid in ids)
-        dist[key] = dist.get(key, 0.0) + state.probability
-    return dist
-
-
 def _models_for(state):
     models = [build_model1(state)]
     if not ch_report(state).violated:
         models += [build_model23(state, 2), build_model23(state, 3)]
     return models
+
+
+def _slot_list(tally, zero=0.0):
+    """A tally keyed by outcome as the 256 slots of ``_slot_totals``, absent keys ``zero``."""
+    return [tally.get(outcome, zero) for outcome in range(-128, 128)]
 
 
 def test_states_view_and_marginals_match_a_per_state_loop():
@@ -600,9 +632,13 @@ def test_states_view_and_marginals_match_a_per_state_loop():
             assert [list(s.outcomes.values()) for s in model.states] == model.outcomes.tolist()
             assert [s.probability for s in model.states] == model.probabilities.tolist()
             ids = model.measurement_ids
-            for mid in ids:
-                assert model.marginal(mid) == {k[0]: p for k, p in _loop_tally(model, mid).items()}
-            assert model.joint_marginal(ids[0], ids[-1]) == _loop_tally(model, ids[0], ids[-1])
+            totals = _slot_totals(model.outcomes, model.probabilities).tolist()
+            for mid, row in zip(ids, totals):
+                assert row == _slot_list(_loop_marginal(model, mid))
+            # one combined pair key, as reproduce_statistics forms model 3's pair joints
+            keys = (2 * model.column(ids[0]) + model.column(ids[-1]))[:, None]
+            pair = _loop_tally(model, ids[0], ids[-1], key=lambda ab: 2 * ab[0] + ab[1])
+            assert _slot_totals(keys, model.probabilities).tolist() == [_slot_list(pair)]
             stats = reproduce_statistics(model, state)
             assert stats.probability_sum == sum(s.probability for s in model.states)
 
@@ -625,16 +661,24 @@ _WEIGHT = st.one_of(
 @example([([-128, 127], 0.0), ([127, -128], 5e-324), ([-128, 127], 1e-310), ([0, 0], 0.5)])
 @settings(max_examples=200)
 def test_property_code_tally_matches_the_per_state_loop(rows):
-    # keys in sorted order, the order np.unique(axis=0) gave; repr tells
-    # apart every bit of a float and an int from a numpy integer
+    # every one of the 256 slots, absent keys read as 0; repr tells apart
+    # every bit of a float and an int from a numpy integer.  The int64 counts
+    # reach 2**58, past the integers a float64 sum holds exactly.
     ids = tuple(f"m{j}" for j in range(len(rows[0][0])))
     model = HVModel(1, ids, [outcomes for outcomes, _ in rows], [w for _, w in rows])
-    for mid in ids:
-        expected = [(key[0], p) for key, p in sorted(_loop_tally(model, mid).items())]
-        assert repr(list(model.marginal(mid).items())) == repr(expected)
-    for id_a, id_b in itertools.product(ids, repeat=2):
-        expected = sorted(_loop_tally(model, id_a, id_b).items())
-        assert repr(list(model.joint_marginal(id_a, id_b).items())) == repr(expected)
+    counts = np.array([int(w * 2**58) for _, w in rows], dtype=np.int64)
+    wrapped = lambda ab: (2 * ab[0] + ab[1] + 128) % 256 - 128  # noqa: E731
+    for weights, zero in ((model.probabilities, 0.0), (counts, 0)):
+        loop_weights = weights.tolist()
+        totals = _slot_totals(model.outcomes, weights).tolist()
+        for mid, row in zip(ids, totals):
+            assert repr(row) == repr(_slot_list(_loop_marginal(model, mid, loop_weights), zero))
+        # combined pair keys, whose int8 arithmetic wraps outside -128..127
+        for id_a, id_b in itertools.product(ids, repeat=2):
+            keys = (2 * model.column(id_a) + model.column(id_b))[:, None]
+            loop = _loop_tally(model, id_a, id_b, weights=loop_weights, key=wrapped)
+            [row] = _slot_totals(keys, weights).tolist()
+            assert repr(row) == repr(_slot_list(loop, zero))
 
 
 @pytest.mark.parametrize(

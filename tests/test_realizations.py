@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pmsquare import realizations
 from pmsquare.errors import InternalConsistencyError
 from pmsquare.qm import expectation, product_ket, projector
 from pmsquare.realizations import (
@@ -352,6 +353,13 @@ def test_translate_accepts_integer_outcomes_only(outcome, warm):
         "Lzx": 1,
         "Lxz": 1,
     }
+
+
+def test_inverse_translation_refuses_wing_values_of_several_outcomes(monkeypatch):
+    # every outcome of every pair claims the wings (1, 1), so none is unique
+    monkeypatch.setattr(realizations, "_wing_values", lambda pair_id, outcome: (1, 1))
+    with pytest.raises(InternalConsistencyError, match="unique outcome"):
+        translate_outcomes_inverse({"Ll_z": 1, "Lr_z": 1, "Ll_x": 1, "Lr_x": 1})
 
 
 def test_exactly_sixteen_consistent_tuples_exist():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pmsquare import square
 from pmsquare.errors import InternalConsistencyError
 from pmsquare.square import (
     CELLS,
@@ -195,6 +196,13 @@ def test_context_products_match_signs():
     for context in CONTEXTS:
         sign = context_operator_product(sq, context)
         assert sign == (-1 if context == Context("column", 2) else 1)
+
+
+def test_context_product_of_the_wrong_sign_is_an_internal_error(monkeypatch):
+    expected = expected_context_sign
+    monkeypatch.setattr(square, "expected_context_sign", lambda context: -expected(context))
+    with pytest.raises(InternalConsistencyError, match="expected"):
+        context_operator_product(build_square(), CONTEXTS[0])
 
 
 def test_context_products_against_manual_oracle():
