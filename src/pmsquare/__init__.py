@@ -35,7 +35,6 @@ from .qm import (
     apply,
     born_probability,
     commutator,
-    expectation,
     expectations,
     ket,
     pauli_tensor,

@@ -109,12 +109,8 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
 # --- document helpers ---------------------------------------------------------
 
 
-def _distribution_doc(dist: dict[int, float]) -> dict[str, float]:
-    return {str(outcome): float(p) for outcome, p in dist.items()}
-
-
-def _counts_doc(counts: dict[int, int]) -> dict[str, int]:
-    return {str(outcome): int(n) for outcome, n in counts.items()}
+def _outcome_doc(values: dict[int, Any]) -> dict[str, Any]:
+    return {str(outcome): value for outcome, value in values.items()}
 
 
 def _ch_doc(report: hvmodels.CHReport) -> dict[str, Any]:
@@ -169,17 +165,6 @@ def _witness_docs(
                 }
             )
     return docs
-
-
-def _statistics_doc(stats: hvmodels.StatisticsReport) -> dict[str, Any]:
-    return {
-        "measurement_deviations": {k: float(v) for k, v in stats.measurement_deviations.items()},
-        "pair_joint_deviations": {k: float(v) for k, v in stats.pair_joint_deviations.items()},
-        "max_abs_deviation": float(stats.max_abs_deviation),
-        "probability_sum": float(stats.probability_sum),
-        "tolerance": float(stats.tolerance),
-        "passed": bool(stats.passed),
-    }
 
 
 def _build_model(index: int, state: np.ndarray) -> hvmodels.HVModel:
@@ -322,7 +307,7 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
         "realization": index,
         "hidden_states": len(model.probabilities),
         "probability_sum": float(stats.probability_sum),
-        "statistics": _statistics_doc(stats),
+        "statistics": vars(stats),
         "noncontextual": noncontextual,
         "witnesses": {
             "context_count": witnesses.context_count,
@@ -360,9 +345,9 @@ def cmd_sample(index: int, state_spec: str, shots: int, seed: int, *, normalize:
         "tv_bound": float(sample.tv_bound),
         "measurements": {
             mid: {
-                "counts": _counts_doc(ms.counts),
-                "frequencies": _distribution_doc(ms.frequencies),
-                "born": _distribution_doc(ms.born),
+                "counts": _outcome_doc(ms.counts),
+                "frequencies": _outcome_doc(ms.frequencies),
+                "born": _outcome_doc(ms.born),
                 "tv_distance": float(ms.tv_distance),
             }
             for mid, ms in sample.measurements.items()

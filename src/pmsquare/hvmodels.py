@@ -66,7 +66,7 @@ from .realizations import (
     WING_VALUES,
     Realization,
     build_realization,
-    consistent_pair_outcomes,
+    translate_outcomes_inverse,
 )
 
 #: Hidden states with probability at or below this threshold are ignored
@@ -322,15 +322,16 @@ def _outcome_table(realization_index: int) -> np.ndarray:
     """The read-only outcome table of the model of a realization; no state enters it.
 
     Model 1 has one row per (Lzz, Lxx, B) outcome triple.  Models 2/3 have
-    one row per wing-value tuple (``consistent_pair_outcomes`` keeps their
-    order), each repeated for the 16 (B, B') outcome pairs.
+    one row per ``WING_VALUES`` tuple (model 2's translated to pair
+    outcomes), in order, each repeated for the 16 (B, B') outcome pairs.
     """
     if realization_index == 1:
         table = np.array(list(itertools.product((1, 2, 3, 4), repeat=3)), dtype=np.int8)
     else:
         wings = WING_VALUES
         if realization_index == 2:
-            wings = [[pair[pid] for pid in PAIR_WINGS] for pair in consistent_pair_outcomes()]
+            pairs = (translate_outcomes_inverse(dict(zip(SIDE_IDS, v))) for v in WING_VALUES)
+            wings = [[pair[pid] for pid in PAIR_WINGS] for pair in pairs]
         bell = list(itertools.product((1, 2, 3, 4), repeat=2))
         table = np.hstack([np.repeat(wings, 16, axis=0), np.tile(bell, (16, 1))]).astype(np.int8)
     table.setflags(write=False)
@@ -652,10 +653,13 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     straddle a CDF edge become variates, so memory per call is O(chunk +
     states) for any ``shots``.  The Born distributions of all measurements
     come from one checked ``expectations`` call.  The pass flag checks
-    every total-variation distance against 5/sqrt(shots).
+    every total-variation distance against 5/sqrt(shots).  ``shots`` must
+    be a positive int and ``seed`` an int in [0, 2**64); a bool is neither.
     """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots!r}")
+    if type(shots) is not int or shots <= 0:
+        raise ValueError(f"shots must be a positive int, got {shots!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
     state = ket(state)
     probabilities = np.maximum(model.probabilities, 0.0)
     total = probabilities.sum()

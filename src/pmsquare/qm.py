@@ -142,11 +142,6 @@ def expectations(state: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def expectation(state: np.ndarray, op: np.ndarray) -> float:
-    """Expectation value <state|op|state> of a Hermitian operator."""
-    return float(expectations(state, np.asarray(op)[np.newaxis])[0])
-
-
 def apply(op: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Matrix-vector product ``op @ state``; the result is not normalized."""
     return np.asarray(op) @ np.asarray(state)

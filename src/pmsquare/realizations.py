@@ -45,7 +45,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .qm import IDENTITY4, VERIFY_ATOL, expectations, projector, side_projector
+from .qm import IDENTITY4, VERIFY_ATOL, projector, side_projector
 from .square import (
     CONTEXTS,
     Cell,
@@ -159,9 +159,6 @@ class PhysicalMeasurement:
         stack = np.array(self.projectors, dtype=complex)
         stack.setflags(write=False)
         object.__setattr__(self, "projectors", stack)
-
-    def born_distribution(self, state: np.ndarray) -> dict[int, float]:
-        return dict(zip(self.outcomes, expectations(state, self.projectors).tolist()))
 
 
 @dataclass(frozen=True)
@@ -469,15 +466,3 @@ def translate_outcomes_inverse(side_outcomes: Mapping[str, int]) -> dict[str, in
             raise InternalConsistencyError(f"{pid}: wing values do not index a unique outcome")
         out[pid] = matches[0]
     return out
-
-
-def consistent_pair_outcomes() -> list[dict[str, int]]:
-    """The 16 consistent pair-outcome tuples, one per one-wing value tuple.
-
-    They follow the one-wing value tuples of ``WING_VALUES``, in order.
-    """
-    tuples = []
-    for values in WING_VALUES:
-        side = dict(zip(SIDE_IDS, values))
-        tuples.append(translate_outcomes_inverse(side))
-    return tuples

@@ -17,10 +17,10 @@ from pmsquare.hvmodels import (
     violation_witnesses,
 )
 from pmsquare.realizations import (
+    SIDE_IDS,
     WING_VALUES,
     build_realization,
     check_requirements,
-    consistent_pair_outcomes,
     translate_outcomes,
     translate_outcomes_inverse,
 )
@@ -241,7 +241,7 @@ def test_criterion_09_sampling():
 
 
 def test_criterion_10_translation():
-    tuples = consistent_pair_outcomes()
+    tuples = [translate_outcomes_inverse(dict(zip(SIDE_IDS, v))) for v in WING_VALUES]
     ok = len(tuples) == 16
     for pair_outcomes in tuples:
         sides = translate_outcomes(pair_outcomes)

@@ -3,11 +3,12 @@
 A name defined at the top level of ``src/pmsquare/*.py`` (a function, a
 class or an assigned constant whose name does not start with ``_``), and
 a public method or property of a public class, must be read in ``src/``
-outside its own definition and ``__init__.py``, appear in ``perfbench/``,
-or be named in README.md.  A name that only the tests reach is code
-nothing needs: delete it, or document it as library API.  Members are
-reported as ``Class.member`` and count as read wherever an attribute of
-their name is read.
+outside its own definition and ``__init__.py``, be read by the code of
+``perfbench/``, or be named in README.md.  A name that only the tests
+reach is code nothing needs: delete it, or document it as library API.
+A mention in a ``perfbench/`` string or comment is not a read.  Members
+are reported as ``Class.member`` and count as read wherever an attribute
+of their name is read.
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ def _package_sources() -> dict[str, str]:
     }
 
 
-def _mentioned(name: str, texts: list[str]) -> bool:
-    pattern = re.compile(rf"\b{re.escape(name)}\b")
-    return any(pattern.search(text) for text in texts)
+def _mentioned(name: str, text: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -103,15 +103,16 @@ def test_every_public_name_is_used_outside_the_tests():
     assert defined["build_realization"] == "realizations"
     assert defined["HVModel"] == "hvmodels"
     assert defined["TOLERANCE"] == "feasibility"
-    texts = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     # the scan sees a method and a property
     assert defined["HVModel.column"] == "hvmodels"
     assert defined["WitnessReport.context_count"] == "hvmodels"
     unused = [
         f"{module}.{name}"
         for name, module in sorted(defined.items(), key=lambda item: (item[1], item[0]))
-        if name.split(".")[-1] not in used and not _mentioned(name.split(".")[-1], texts)
+        if name.split(".")[-1] not in used and not _mentioned(name.split(".")[-1], readme)
     ]
     assert not unused, f"public names only the tests use: {unused}"
 

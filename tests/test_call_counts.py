@@ -1,13 +1,13 @@
 """How often each command runs the checked primitives.
 
 Every ``expectations`` call checks the norm once and the Hermiticity of
-its whole operator stack (``expectation`` delegates to it with a stack of
-one), every ``born_probability`` checks both kets' norms, and ``solve``
-verifies its point or certificate.  Counting the calls of one command,
-with warm caches, and the operators that ``is_hermitian`` receives pins
-that a refactor drops none of these checks: the operators checked per
-command equal the ``is_hermitian`` calls of the one-operator-per-call
-design (12, 44, 52, 52, 20, 36, 12, 44 and 4 below).
+its whole operator stack, every ``born_probability`` checks both kets'
+norms, and ``solve`` verifies its point or certificate.  Counting the
+calls of one command, with warm caches, and the operators that
+``is_hermitian`` receives pins that a refactor drops none of these
+checks: the operators checked per command equal the ``is_hermitian``
+calls of the one-operator-per-call design (12, 44, 52, 52, 20, 36, 12,
+44 and 4 below).
 """
 
 import collections
@@ -27,7 +27,6 @@ _COUNTED = {
     function.__code__: function.__name__
     for function in (
         qm.born_probability,
-        qm.expectation,
         qm.expectations,
         qm.is_hermitian,
         qm.is_normalized,

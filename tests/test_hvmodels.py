@@ -38,14 +38,13 @@ from pmsquare.hvmodels import (
     violation_witnesses,
     HVModel,
 )
-from pmsquare.qm import apply, pauli_tensor
+from pmsquare.qm import apply, expectations, pauli_tensor
 from pmsquare.realizations import (
     PAIR_WINGS,
     SIDE_IDS,
     WING_VALUES,
     build_realization,
     cell_classes,
-    consistent_pair_outcomes,
     translate_outcomes_inverse,
 )
 from pmsquare.square import CONTEXTS, NAMED_STATES, Context, admissible_triples, context_cells
@@ -235,8 +234,8 @@ def test_pair_joints_are_the_born_joints_of_the_pair_measurements():
         joints = quantum_pair_joints(state)
         for pid in ("Lzz", "Lzx", "Lxz", "Lxx"):
             left, right = (realization.derived[f"{fn}({pid})"].outcome_map for fn in "lr")
-            born = {}
-            for outcome, p in realization.physicals[pid].born_distribution(state).items():
+            born, m = {}, realization.physicals[pid]
+            for outcome, p in zip(m.outcomes, expectations(state, m.projectors)):
                 key = (left[outcome], right[outcome])
                 born[key] = born.get(key, 0.0) + p
             assert joints[(pid[1], pid[2])] == pytest.approx(born, abs=1e-12)
@@ -580,7 +579,8 @@ def test_model_table_is_read_only_and_shape_checked():
 
 def test_outcome_tables_are_read_only_constants_of_the_realization():
     bell = list(itertools.product((1, 2, 3, 4), repeat=2))
-    pair_wings = [[pair[pid] for pid in PAIR_WINGS] for pair in consistent_pair_outcomes()]
+    pairs = [translate_outcomes_inverse(dict(zip(SIDE_IDS, v))) for v in WING_VALUES]
+    pair_wings = [[pair[pid] for pid in PAIR_WINGS] for pair in pairs]
     expected = {
         1: np.array(list(itertools.product((1, 2, 3, 4), repeat=3))),
         2: np.hstack([np.repeat(pair_wings, 16, axis=0), np.tile(bell, (16, 1))]),
@@ -1134,3 +1134,16 @@ def test_sampling_rejects_bad_shots():
     model = build_model1(PSI1)
     with pytest.raises(ValueError):
         sample_model(model, PSI1, 0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "shots, seed",
+    [(10, 1.5), (10, True), (10, "3"), (10, -1), (10, 2**64), (True, 1), (2.0, 1), ("10", 1)],
+    ids=["seed-float", "seed-bool", "seed-str", "seed-negative", "seed-2**64",
+         "shots-bool", "shots-float", "shots-str"],
+)
+def test_sampling_refuses_a_seed_or_shot_count_that_is_not_an_int_in_range(shots, seed):
+    # a float, bool or string seed used to sample as another seed (1.5 and
+    # True as 1, "3" as 3) and echo itself; -1 and 2**64 overflowed
+    with pytest.raises(ValueError, match="shots must|seed must"):
+        sample_model(build_model1(PSI1), PSI1, shots, seed)

@@ -13,7 +13,6 @@ from pmsquare.qm import (
     apply,
     born_probability,
     commutator,
-    expectation,
     expectations,
     inner,
     is_hermitian,
@@ -130,32 +129,37 @@ def test_born_probability_sums_to_one_over_bases(seed):
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _expectation(state, op):
+    """The expectation of one operator: ``expectations`` on a stack of one."""
+    return float(expectations(state, np.asarray(op)[np.newaxis])[0])
+
+
 def test_expectation_zz_eigenstates():
     zz = pauli_tensor("Z", "Z")
-    assert expectation(product_ket("00"), zz) == pytest.approx(1.0, abs=1e-12)
+    assert _expectation(product_ket("00"), zz) == pytest.approx(1.0, abs=1e-12)
     singlet = (product_ket("01") - product_ket("10")) / np.sqrt(2)
-    assert expectation(singlet, zz) == pytest.approx(-1.0, abs=1e-12)
+    assert _expectation(singlet, zz) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_expectation_zx_vanishes_on_00():
     # oracle: (Z(x)X)|00> = |01>, orthogonal to |00>
     op = kron_oracle(PAULI["Z"], PAULI["X"])
     assert np.array_equal(op @ product_ket("00"), product_ket("01"))
-    assert expectation(product_ket("00"), pauli_tensor("Z", "X")) == pytest.approx(0.0, abs=1e-12)
+    assert _expectation(product_ket("00"), pauli_tensor("Z", "X")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_rejects_non_hermitian():
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
-        expectation(product_ket("00"), skew)
+        _expectation(product_ket("00"), skew)
 
 
 def test_expectation_stays_within_spectrum():
     ops = [pauli_tensor(l, r) for l in LABELS for r in LABELS]
     for state in random_states(20, seed=7):
         for op in ops:
-            assert -1.0 - 1e-12 <= expectation(state, op) <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= _expectation(state, op) <= 1.0 + 1e-12
 
 
 #: Every operator the package takes expectations of: each physical measurement's
@@ -183,7 +187,7 @@ def test_property_expectations_equal_vdot_bit_for_bit(state, ops):
     got = expectations(state, np.array(ops))
     expected = np.array([np.vdot(state, op @ state).real for op in ops])
     assert got.tobytes() == expected.tobytes()
-    assert [expectation(state, op) for op in ops] == expected.tolist()
+    assert [_expectation(state, op) for op in ops] == expected.tolist()
 
 
 def test_expectations_checks_every_operator_of_the_stack():

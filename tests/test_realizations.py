@@ -6,7 +6,7 @@ import pytest
 
 from pmsquare import realizations
 from pmsquare.errors import InternalConsistencyError
-from pmsquare.qm import expectation, product_ket, projector
+from pmsquare.qm import expectations, product_ket, projector
 from pmsquare.realizations import (
     MEASUREMENT_CONTEXTS,
     PAIR_WINGS,
@@ -20,13 +20,16 @@ from pmsquare.realizations import (
     cell_classes,
     check_requirements,
     classes_compatible,
-    consistent_pair_outcomes,
     translate_outcomes,
     translate_outcomes_inverse,
 )
 from pmsquare.square import CONTEXTS, admissible_triples, build_square, context_cells
 
 from conftest import random_states
+
+
+#: The 16 consistent pair-outcome tuples, one per one-wing value tuple, in order.
+_PAIR_TUPLES = [translate_outcomes_inverse(dict(zip(SIDE_IDS, v))) for v in WING_VALUES]
 
 
 def _cells_realized_by(realization, derived_id):
@@ -264,15 +267,16 @@ def test_derived_measurements_are_statistically_faithful():
                 parent = r.physicals[derived.parent]
                 for state in states:
                     dist = {1: 0.0, -1: 0.0}
-                    for outcome, probability in parent.born_distribution(state).items():
+                    born = expectations(state, parent.projectors)
+                    for outcome, probability in zip(parent.outcomes, born):
                         dist[derived.outcome_map[outcome]] += probability
-                    assert dist[1] == pytest.approx(expectation(state, plus), abs=1e-12)
+                    assert dist[1] == pytest.approx(expectations(state, [plus])[0], abs=1e-12)
                     assert dist[1] + dist[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identified_pairs_agree_on_every_consistent_tuple():
     r = build_realization(2)
-    for pair_outcomes in consistent_pair_outcomes():
+    for pair_outcomes in _PAIR_TUPLES:
         for group in r.identifications:
             values = {
                 r.derived[did].outcome_map[pair_outcomes[r.derived[did].parent]]
@@ -308,9 +312,8 @@ def test_translate_all_fourth_outcomes():
 
 
 def test_translate_round_trips_on_all_consistent_tuples():
-    tuples = consistent_pair_outcomes()
-    assert len(tuples) == 16
-    for pair_outcomes in tuples:
+    assert len(_PAIR_TUPLES) == 16
+    for pair_outcomes in _PAIR_TUPLES:
         sides = translate_outcomes(pair_outcomes)
         assert translate_outcomes_inverse(sides) == pair_outcomes
     for values in itertools.product((1, -1), repeat=4):
