@@ -140,8 +140,13 @@ def _fine_doc(fine: hvmodels.FineResult) -> dict[str, Any]:
 def _witness_docs(
     model: hvmodels.HVModel, blocks: tuple[hvmodels.WitnessBlock, ...], cap: int
 ) -> list[dict[str, Any]]:
-    """The first ``cap`` witnesses of each context or cell, in scan order."""
+    """The first ``cap`` witnesses of each context or cell, in scan order.
+
+    Docs of one block share its ``cell`` and ``measurements`` lists, and docs
+    of one hidden state share one ``outcomes`` dict; they are only rendered.
+    """
     taken: dict[object, int] = {}
+    outcomes: dict[int, dict[str, int]] = {}
     docs = []
     for block in blocks:
         states = block.states[: max(cap - taken.get(block.group, 0), 0)]
@@ -150,17 +155,19 @@ def _witness_docs(
             group, key = {"context": block.group.name}, "triple"
         else:
             group, key = {"cell": list(block.group)}, "values"
+        group["measurements"] = list(block.measurement_ids)
         rows = model.outcomes[states].tolist()
         values = block.values[: len(states)].tolist()
         weights = model.probabilities[states].tolist()
         for state, row, value, weight in zip(states.tolist(), rows, values, weights):
+            if state not in outcomes:
+                outcomes[state] = dict(zip(model.measurement_ids, row))
             docs.append(
                 {
                     **group,
                     key: value,
-                    "measurements": list(block.measurement_ids),
                     "state_index": state,
-                    "outcomes": dict(zip(model.measurement_ids, row)),
+                    "outcomes": outcomes[state],
                     "probability": weight,
                 }
             )

@@ -4,6 +4,10 @@ Every run produces one document ``{"command", "inputs", "results",
 "pass"}``.  The JSON renderer sorts keys at every level and prints floats
 with 17 significant digits, so identical runs emit byte-identical text;
 the schema lives in docs/report-schema.json.
+
+Rendering makes one piece per dict entry and per list item, and joins a
+container that is a list item, such as a witness doc, into one piece, so it
+holds about 2-3 times the output's size, not a piece per brace and comma.
 """
 
 from __future__ import annotations
@@ -38,49 +42,55 @@ def _format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _render(value: Any, pieces: list[str]) -> None:
+def _render(value: Any, pieces: list[str], prefix: str = "") -> None:
+    """Append ``value``'s JSON text to ``pieces``, ``prefix`` starting its first piece."""
     kind = type(value)
-    if kind is str:
-        pieces.append(_quote(value))
-    elif kind is float:
-        pieces.append(_format_float(value))
-    elif kind is dict:
-        pieces.append("{")
-        for i, key in enumerate(sorted(value)):
+    if kind is dict:
+        sep = prefix + "{"
+        for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            if i:
-                pieces.append(",")
-            pieces.append(_quote(key))
-            pieces.append(":")
-            _render(value[key], pieces)
-        pieces.append("}")
+            item = value[key]
+            kind = type(item)
+            if kind is int:
+                pieces.append(f"{sep}{_quote(key)}:{item}")
+            elif kind is str:
+                pieces.append(f"{sep}{_quote(key)}:{_quote(item)}")
+            else:
+                _render(item, pieces, f"{sep}{_quote(key)}:")
+            sep = ","
+        pieces.append("}" if sep == "," else sep + "}")
     elif kind is list or kind is tuple:
-        pieces.append("[")
-        for i, item in enumerate(value):
-            if i:
-                pieces.append(",")
-            _render(item, pieces)
-        pieces.append("]")
-    elif kind is bool:
-        pieces.append("true" if value else "false")
-    elif kind is int:
-        pieces.append(str(value))
+        sep = prefix + "["
+        for item in value:
+            kind = type(item)
+            if kind is int:
+                pieces.append(f"{sep}{item}")
+            elif kind is str:
+                pieces.append(sep + _quote(item))
+            else:
+                joined: list[str] = []
+                _render(item, joined, sep)
+                pieces.append("".join(joined))
+            sep = ","
+        pieces.append("]" if sep == "," else sep + "]")
+    elif isinstance(value, str):
+        pieces.append(prefix + _quote(value))
+    elif kind is float:
+        pieces.append(prefix + _format_float(value))
     elif value is None:
-        pieces.append("null")
+        pieces.append(prefix + "null")
     # subclasses and numpy scalars are rendered as the exact type they stand for
     elif isinstance(value, dict):
-        _render(dict(value), pieces)
+        _render(dict(value), pieces, prefix)
     elif isinstance(value, (list, tuple)):
-        _render(list(value), pieces)
+        _render(list(value), pieces, prefix)
     elif isinstance(value, (bool, np.bool_)):
-        _render(bool(value), pieces)
+        pieces.append(prefix + ("true" if value else "false"))
     elif isinstance(value, (int, np.integer)):
-        _render(int(value), pieces)
+        pieces.append(f"{prefix}{int(value)}")
     elif isinstance(value, (float, np.floating)):
-        _render(float(value), pieces)
-    elif isinstance(value, str):
-        pieces.append(_quote(value))
+        _render(float(value), pieces, prefix)
     else:
         raise TypeError(f"cannot render {type(value).__name__} in a report")
 

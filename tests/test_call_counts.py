@@ -55,10 +55,9 @@ def _counts(argv):
     return dict(counts)
 
 
-def _expected(born, expectation, expectations, hermitian, operators, normalized, solve=0):
+def _expected(born, expectations, hermitian, operators, normalized, solve=0):
     counts = {
         "born_probability": born,
-        "expectation": expectation,
         "expectations": expectations,
         "is_hermitian": hermitian,
         "hermitian_operators": operators,
@@ -71,24 +70,24 @@ def _expected(born, expectation, expectations, hermitian, operators, normalized,
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["model", "1", "--state", "psi1"], _expected(12, 0, 1, 1, 12, 25)),
-        (["model", "2", "--state", "psi1"], _expected(8, 0, 3, 3, 44, 19, 1)),
-        (["model", "3", "--state", "psi1"], _expected(8, 0, 4, 4, 52, 20, 1)),
-        (["model", "3", "--state", HAAR], _expected(8, 0, 4, 4, 52, 20, 1)),
-        (["model", "2", "--state", "chsh-max"], _expected(0, 0, 2, 2, 20, 2, 1)),
+        (["model", "1", "--state", "psi1"], _expected(12, 1, 1, 12, 25)),
+        (["model", "2", "--state", "psi1"], _expected(8, 3, 3, 44, 19, 1)),
+        (["model", "3", "--state", "psi1"], _expected(8, 4, 4, 52, 20, 1)),
+        (["model", "3", "--state", HAAR], _expected(8, 4, 4, 52, 20, 1)),
+        (["model", "2", "--state", "chsh-max"], _expected(0, 2, 2, 20, 2, 1)),
         (
             ["sample", "3", "--state", "psi1", "--shots", "1000", "--seed", "1"],
-            _expected(8, 0, 3, 3, 36, 19, 1),
+            _expected(8, 3, 3, 36, 19, 1),
         ),
         (
             ["sample", "1", "--state", "psi1", "--shots", "1000", "--seed", "1"],
-            _expected(12, 0, 1, 1, 12, 25),
+            _expected(12, 1, 1, 12, 25),
         ),
         (
             ["sample", "2", "--state", "psi1", "--shots", "1000", "--seed", "1"],
-            _expected(8, 0, 3, 3, 44, 19, 1),
+            _expected(8, 3, 3, 44, 19, 1),
         ),
-        (["ch", "--state", "psi1"], _expected(0, 0, 1, 1, 4, 1)),
+        (["ch", "--state", "psi1"], _expected(0, 1, 1, 4, 1)),
     ],
     ids=[
         "model-1-psi1",

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from pmsquare.cli import main, resolve_state
 
 from conftest import boundary_crossing, boundary_point, boundary_slope
 
+HAAR = str(Path(__file__).resolve().parent / "golden" / "haar_state.json")
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
 )
@@ -135,6 +137,19 @@ def test_model1_psi1_reports_the_classic_witness(capsys):
     assert witnesses["simultaneous_violation_count"] == 0
     assert document["results"]["noncontextual"] is True
     assert document["results"]["statistics"]["passed"] is True
+
+
+def test_uncapped_witness_lists_of_the_haar_state_are_byte_identical(capsys):
+    # the golden files cap each group at 12, so only this report renders long witness lists
+    code, out = run_cli(
+        capsys, "model", "2", "--state", HAAR, "--max-witnesses", "100000", "--json"
+    )
+    assert code == 0
+    witnesses = json.loads(out)["results"]["witnesses"]
+    assert (len(witnesses["context"]), len(witnesses["cell"])) == (1296, 360)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "9a88f79bddf12a9bcddf7b23e9f8a95f7ea165413bcf0853026faf84075f0db9"
+    )
 
 
 def test_model2_psi1_fine_block(capsys):

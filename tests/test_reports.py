@@ -1,11 +1,17 @@
+import gc
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmsquare import cli
 from pmsquare.reports import Report, render_json, render_text, validate_envelope
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_render_json_sorts_keys_and_round_trips():
@@ -164,3 +170,49 @@ def test_render_json_errors_match_the_isinstance_chain_renderer(bad, error):
         _reference_json(report)
     with pytest.raises(error):
         render_json(report)
+
+
+def test_shared_sub_objects_render_in_every_place():
+    # the CLI's witness docs share their lists and dicts, so no renderer may skip a repeat
+    shared_list = [1, 2.5, "x", {"k": None}]
+    shared_dict = {"b": shared_list, "a": np.int64(7)}
+    results = {
+        "l1": shared_list,
+        "l2": shared_list,
+        "docs": [shared_dict, shared_dict, {"inner": shared_dict}],
+        "t": (shared_list, shared_dict),
+    }
+    report = Report("model", {"same": shared_dict}, results, True)
+    text = render_json(report)
+    assert text == _reference_json(report)
+    assert text.count('"k":null') == 8
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=50, deadline=None)
+def test_a_repeated_document_renders_like_the_isinstance_chain_renderer(document):
+    report = Report("ch", {"d": document}, {"v": [document, {"w": document}, (document,)]}, True)
+    assert render_json(report) == _reference_json(report)
+
+
+def _traced_render(report):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = render_json(report)
+        return text, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "index, cap", [(2, 100_000), (3, 12)], ids=["model-2-haar-uncapped", "model-3-haar"]
+)
+def test_rendering_a_model_report_holds_at_most_four_times_its_output(monkeypatch, index, cap):
+    monkeypatch.chdir(GOLDEN)
+    report, _ = cli.cmd_model(index, "haar_state.json", normalize=False, max_witnesses=cap)
+    text, peak = _traced_render(report)
+    if cap == 12:
+        assert text + "\n" == (GOLDEN / "model-3-haar.json").read_text(encoding="utf-8")
+    assert peak <= 4 * len(text), (peak, len(text))
