@@ -54,13 +54,11 @@ from .realizations import (
 )
 from .square import (
     CONTEXTS,
+    GRID,
     NAMED_STATES,
-    Assignment,
     Context,
-    EigenTable,
-    PMSquare,
     admissible_triples,
-    build_square,
+    cell_operator,
     commutation_relation,
     context_cells,
     context_operator_product,

@@ -27,7 +27,6 @@ from .square import (
     CONTEXTS,
     NAMED_STATES,
     Context,
-    build_square,
     commutation_relation,
     context_from_name,
     context_operator_product,
@@ -184,10 +183,9 @@ def _build_model(index: int, state: np.ndarray) -> hvmodels.HVModel:
 
 
 def cmd_verify() -> Report:
-    square = build_square()
     results: dict[str, Any] = {}
     try:
-        pairs = commutation_relation(square)
+        pairs = commutation_relation()
         results["commutation"] = {
             "pairs_checked": len(pairs),
             "pairs": [
@@ -197,20 +195,20 @@ def cmd_verify() -> Report:
         }
         tables_doc: dict[str, Any] = {}
         for context in CONTEXTS:
-            table = eigentable(context)
-            eigen_residual, ortho_residual = verify_eigentable(table)
+            entries = eigentable(context)
+            eigen_residual, ortho_residual = verify_eigentable(context, entries)
             tables_doc[context.name] = {
-                "entries": [{"label": e.label, "values": list(e.values)} for e in table.entries],
+                "entries": [{"label": e.label, "values": list(e.values)} for e in entries],
                 "max_eigen_residual": eigen_residual,
                 "max_orthonormality_residual": ortho_residual,
             }
         results["eigentables"] = tables_doc
         results["context_products"] = {
-            context.name: context_operator_product(square, context) for context in CONTEXTS
+            context.name: context_operator_product(context) for context in CONTEXTS
         }
         results["checks"] = {
             "commutation_pairs": len(pairs),
-            "eigenvector_checks": sum(len(eigentable(c).entries) for c in CONTEXTS),
+            "eigenvector_checks": sum(len(eigentable(c)) for c in CONTEXTS),
             "product_signs": len(CONTEXTS),
         }
         passed = True
@@ -234,7 +232,7 @@ def cmd_contradiction(constraint_names: list[str] | None) -> Report:
     results: dict[str, Any] = {
         "active_constraints": [c.name for c in active],
         "count": len(survivors),
-        "survivors": [list(a.values) for a in survivors],
+        "survivors": [list(a) for a in survivors],
     }
     col2 = context_from_name("col2")
     if col2 not in active:

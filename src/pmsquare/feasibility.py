@@ -112,8 +112,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
         for i in range(m):
             if i != leaving and tab[i, entering] != 0.0:
                 tab[i] -= tab[i, entering] * tab[leaving]
-        if reduced[entering] != 0.0:
-            reduced = reduced - reduced[entering] * tab[leaving, :-1]
+        reduced = reduced - reduced[entering] * tab[leaving, :-1]
         basis[leaving] = entering
 
     objective = float(sum(tab[i, -1] for i in range(m) if basis[i] >= n))
@@ -140,7 +139,7 @@ def _verify_point(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
     """Raise unless ``a @ x = b`` to ``TOLERANCE`` and x >= 0 to 1e-12."""
     residual = float(np.max(np.abs(a @ x - b)))
     lowest = float(x.min()) if len(x) else 0.0
-    if residual > TOLERANCE or lowest < -1e-12:
+    if not (residual <= TOLERANCE and lowest >= -1e-12):
         raise InternalConsistencyError(
             f"feasible point failed verification (residual {residual:.3e}, "
             f"min coordinate {lowest:.3e})"
@@ -151,7 +150,7 @@ def _verify_certificate(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> None:
     """Raise unless ``y @ a <= TOLERANCE`` componentwise and ``y @ b > 0``."""
     against = float(np.max(y @ a)) if a.shape[1] else 0.0
     value = float(y @ b)
-    if against > TOLERANCE or value <= 0.0:
+    if not (against <= TOLERANCE and value > 0.0):
         raise InternalConsistencyError(
             f"Farkas certificate failed verification (max y@A = {against:.3e}, "
             f"y@b = {value:.3e})"

@@ -313,7 +313,7 @@ def fine_joint(state: np.ndarray) -> FineResult:
 
 def _born_weights(state: np.ndarray, measurement_id: str) -> np.ndarray:
     """Born probabilities of the outcomes 1..4 of a four-outcome measurement."""
-    entries = eigentable(MEASUREMENT_CONTEXTS[measurement_id]).entries
+    entries = eigentable(MEASUREMENT_CONTEXTS[measurement_id])
     return np.array([born_probability(state, e.vector) for e in entries])
 
 

@@ -239,8 +239,7 @@ def _physical(meas_id: str) -> PhysicalMeasurement:
         projectors = [side_projector(axis, +1, side), side_projector(axis, -1, side)]
     else:
         outcomes = (1, 2, 3, 4)
-        table = eigentable(MEASUREMENT_CONTEXTS[meas_id])
-        projectors = [projector(entry.vector) for entry in table.entries]
+        projectors = [projector(e.vector) for e in eigentable(MEASUREMENT_CONTEXTS[meas_id])]
     measurement = PhysicalMeasurement(meas_id, outcomes, projectors)
     _verify_resolution(measurement)
     return measurement
@@ -253,8 +252,8 @@ def _derived(derived_id: str) -> DerivedMeasurement:
         return DerivedMeasurement(derived_id, derived_id, MappingProxyType({1: 1, -1: -1}))
     function, parent = derived_id.removesuffix(")").split("(")
     pos = _READOUTS[parent].index(function)
-    table = eigentable(MEASUREMENT_CONTEXTS[parent])
-    outcome_map = {o: table.entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
+    entries = eigentable(MEASUREMENT_CONTEXTS[parent])
+    outcome_map = {o: entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
     return DerivedMeasurement(derived_id, parent, MappingProxyType(outcome_map))
 
 
@@ -416,7 +415,7 @@ def _is_integer(value: object) -> bool:
 @lru_cache(maxsize=None)
 def _wing_values(pair_id: str, outcome: int) -> tuple[int, int]:
     """The (left, right) wing values a pair polarization outcome 1..4 implies."""
-    values = eigentable(MEASUREMENT_CONTEXTS[pair_id]).entries[outcome - 1].values
+    values = eigentable(MEASUREMENT_CONTEXTS[pair_id])[outcome - 1].values
     readouts = _READOUTS[pair_id]
     return values[readouts.index("l")], values[readouts.index("r")]
 

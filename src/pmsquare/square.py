@@ -1,6 +1,7 @@
 """The 3x3 two-qubit operator square and its admissible-value structure.
 
-The grid of operators is
+The grid of operators, ``GRID`` as (left, right) Pauli labels and
+``cell_operator(cell)`` as 4x4 matrices, is
 
     Z(x)I   I(x)Z   Z(x)Z
     I(x)X   X(x)I   X(x)X
@@ -9,12 +10,13 @@ The grid of operators is
 Two entries commute exactly when they share a row or a column.  Every row
 and the first two columns multiply to +identity; the third column
 multiplies to -identity.  Each context (row or column) carries a table of
-four common eigenvectors with their eigenvalue triples; the tables are
+four common eigenvectors with their eigenvalue triples, the four
+``EigenEntry`` records ``eigentable(context)`` returns; the tables are
 transcribed below and re-verified against the operators on first use.
 
 No +/-1 assignment to the nine cells can agree with some admissible
 eigenvalue triple in all six contexts at once; ``search_assignments``
-establishes this by enumerating all 512 candidates.
+establishes this by enumerating all 512 candidates, row-major 9-tuples.
 """
 
 from __future__ import annotations
@@ -69,28 +71,17 @@ def context_cells(context: Context) -> tuple[Cell, Cell, Cell]:
 
 CELLS: tuple[Cell, ...] = tuple(itertools.product(range(3), range(3)))
 
-_LAYOUT = (
+#: The operator grid; ``GRID[r][c]`` holds the (left, right) Pauli labels.
+GRID = (
     (("Z", "I"), ("I", "Z"), ("Z", "Z")),
     (("I", "X"), ("X", "I"), ("X", "X")),
     (("Z", "X"), ("X", "Z"), ("Y", "Y")),
 )
 
 
-@dataclass(frozen=True)
-class PMSquare:
-    """The operator grid; ``grid[r][c]`` holds the (left, right) Pauli labels."""
-
-    grid: tuple[tuple[tuple[str, str], ...], ...]
-
-    def labels(self, cell: Cell) -> tuple[str, str]:
-        return self.grid[cell[0]][cell[1]]
-
-    def operator(self, cell: Cell) -> np.ndarray:
-        return pauli_tensor(*self.labels(cell))
-
-
-def build_square() -> PMSquare:
-    return PMSquare(_LAYOUT)
+def cell_operator(cell: Cell) -> np.ndarray:
+    """The 4x4 operator of a cell of ``GRID``."""
+    return pauli_tensor(*GRID[cell[0]][cell[1]])
 
 
 # --- eigenvector tables ---------------------------------------------------
@@ -164,19 +155,13 @@ class EigenEntry:
     values: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class EigenTable:
-    context: Context
-    entries: tuple[EigenEntry, ...]
-
-
 def expected_context_sign(context: Context) -> int:
     """Sign of the product of the three context operators: -1 only for column 2."""
     return -1 if context == Context("column", 2) else +1
 
 
-def verify_eigentable(table: EigenTable) -> tuple[float, float]:
-    """Check orthonormality and the eigen relations.
+def verify_eigentable(context: Context, entries: tuple[EigenEntry, ...]) -> tuple[float, float]:
+    """Check a context's table entries for orthonormality and the eigen relations.
 
     The eigen relations imply each entry's value product: the context's
     operator product is sign * I, so the values multiply to its sign.
@@ -184,26 +169,25 @@ def verify_eigentable(table: EigenTable) -> tuple[float, float]:
     InternalConsistencyError on any failure; a failure means the
     transcribed table data does not match the operators.
     """
-    square = build_square()
-    ops = [square.operator(cell) for cell in context_cells(table.context)]
-    if len(table.entries) != 4:
-        raise InternalConsistencyError(f"{table.context.name}: expected 4 entries")
+    ops = [cell_operator(cell) for cell in context_cells(context)]
+    if len(entries) != 4:
+        raise InternalConsistencyError(f"{context.name}: expected 4 entries")
     eigen_residual = ortho_residual = 0.0
-    for i, entry in enumerate(table.entries):
-        for j, other in enumerate(table.entries):
+    for i, entry in enumerate(entries):
+        for j, other in enumerate(entries):
             overlap = inner(entry.vector, other.vector)
             residual = abs(overlap - (1.0 if i == j else 0.0))
-            if residual > VERIFY_ATOL:
+            if not residual <= VERIFY_ATOL:
                 raise InternalConsistencyError(
-                    f"{table.context.name}: entries {entry.label}/{other.label} "
+                    f"{context.name}: entries {entry.label}/{other.label} "
                     f"not orthonormal (overlap {overlap!r})"
                 )
             ortho_residual = max(ortho_residual, residual)
         for op, value in zip(ops, entry.values):
             residual = float(np.max(np.abs(apply(op, entry.vector) - value * entry.vector)))
-            if residual > VERIFY_ATOL:
+            if not residual <= VERIFY_ATOL:
                 raise InternalConsistencyError(
-                    f"{table.context.name}: {entry.label} is not a {value:+d} "
+                    f"{context.name}: {entry.label} is not a {value:+d} "
                     f"eigenvector (residual {residual:.3e})"
                 )
             eigen_residual = max(eigen_residual, residual)
@@ -211,8 +195,8 @@ def verify_eigentable(table: EigenTable) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def eigentable(context: Context) -> EigenTable:
-    """Common-eigenbasis table of a context, verified before it is returned."""
+def eigentable(context: Context) -> tuple[EigenEntry, ...]:
+    """The four common-eigenbasis entries of a context, verified before they are returned."""
     if context not in _TABLE_STATES:
         raise ValueError(f"unknown context {context!r}")
     triples = _MINUS_TRIPLES if expected_context_sign(context) < 0 else _PLUS_TRIPLES
@@ -220,21 +204,20 @@ def eigentable(context: Context) -> EigenTable:
         EigenEntry(label, vector, values)
         for (label, vector), values in zip(_TABLE_STATES[context], triples)
     )
-    table = EigenTable(context, entries)
-    verify_eigentable(table)
-    return table
+    verify_eigentable(context, entries)
+    return entries
 
 
 @lru_cache(maxsize=None)
 def admissible_triples(context: Context) -> frozenset[tuple[int, int, int]]:
     """The four value triples a simultaneous measurement of the context can yield."""
-    return frozenset(entry.values for entry in eigentable(context).entries)
+    return frozenset(entry.values for entry in eigentable(context))
 
 
 # --- structural checks ----------------------------------------------------
 
 
-def commutation_relation(square: PMSquare) -> dict[tuple[Cell, Cell], bool]:
+def commutation_relation() -> dict[tuple[Cell, Cell], bool]:
     """Classify all 36 unordered cell pairs as commuting or not.
 
     The computed classification is asserted against the same-row-or-column
@@ -243,7 +226,7 @@ def commutation_relation(square: PMSquare) -> dict[tuple[Cell, Cell], bool]:
     result: dict[tuple[Cell, Cell], bool] = {}
     for i, c1 in enumerate(CELLS):
         for c2 in CELLS[i + 1 :]:
-            comm = commutator(square.operator(c1), square.operator(c2))
+            comm = commutator(cell_operator(c1), cell_operator(c2))
             commutes = bool(np.max(np.abs(comm)) <= VERIFY_ATOL)
             predicted = c1[0] == c2[0] or c1[1] == c2[1]
             if commutes != predicted:
@@ -255,9 +238,9 @@ def commutation_relation(square: PMSquare) -> dict[tuple[Cell, Cell], bool]:
     return result
 
 
-def context_operator_product(square: PMSquare, context: Context) -> int:
+def context_operator_product(context: Context) -> int:
     """Sign s such that the ordered product of the context operators is s*identity."""
-    a, b, c = (square.operator(cell) for cell in context_cells(context))
+    a, b, c = (cell_operator(cell) for cell in context_cells(context))
     prod = a @ b @ c
     for sign in (+1, -1):
         if np.max(np.abs(prod - sign * IDENTITY4)) <= VERIFY_ATOL:
@@ -273,42 +256,34 @@ def context_operator_product(square: PMSquare, context: Context) -> int:
 # --- exhaustive assignment search ------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Assignment:
-    """A total +/-1 assignment to the nine cells, row-major."""
-
-    values: tuple[int, ...]
-
-    def value(self, cell: Cell) -> int:
-        return self.values[cell[0] * 3 + cell[1]]
-
-    def context_values(self, context: Context) -> tuple[int, int, int]:
-        return tuple(self.value(cell) for cell in context_cells(context))
+def _slots(context: Context) -> tuple[int, int, int]:
+    """Row-major positions of a context's cells in a 9-tuple assignment."""
+    return tuple(row * 3 + col for row, col in context_cells(context))
 
 
-def search_assignments(active_constraints: Iterable[Context] | None = None) -> list[Assignment]:
+def search_assignments(
+    active_constraints: Iterable[Context] | None = None,
+) -> list[tuple[int, ...]]:
     """Enumerate all 512 assignments and keep those admissible in every active context.
 
+    An assignment is the row-major 9-tuple of +/-1 cell values.
     ``active_constraints=None`` activates all six contexts, for which the
     result is empty: that emptiness is the no-go contradiction.  Results are
-    in lexicographic order of the row-major value tuple (-1 before +1).
+    in lexicographic order (-1 before +1).
     """
     active = CONTEXTS if active_constraints is None else tuple(active_constraints)
     for context in active:
-        if context not in CONTEXTS:
+        if not (isinstance(context, Context) and context in CONTEXTS):
             raise ValueError(f"unknown context {context!r}")
-    admissible = {context: admissible_triples(context) for context in active}
-    survivors = []
-    for values in itertools.product((-1, 1), repeat=9):
-        assignment = Assignment(values)
-        if all(
-            assignment.context_values(context) in admissible[context] for context in active
-        ):
-            survivors.append(assignment)
-    return survivors
+    checks = [(_slots(context), admissible_triples(context)) for context in active]
+    return [
+        values
+        for values in itertools.product((-1, 1), repeat=9)
+        if all((values[i], values[j], values[k]) in allowed for (i, j, k), allowed in checks)
+    ]
 
 
-def third_column_product_counts(assignments: Iterable[Assignment]) -> dict[int, int]:
+def third_column_product_counts(assignments: Iterable[tuple[int, ...]]) -> dict[int, int]:
     """Tally the column-2 value products over a set of assignments.
 
     With the other five constraints active, every survivor's third-column
@@ -316,10 +291,7 @@ def third_column_product_counts(assignments: Iterable[Assignment]) -> dict[int, 
     third column needs -1).
     """
     counts = {+1: 0, -1: 0}
-    col2 = Context("column", 2)
-    for assignment in assignments:
-        product = 1
-        for v in assignment.context_values(col2):
-            product *= v
-        counts[product] += 1
+    i, j, k = _slots(Context("column", 2))
+    for values in assignments:
+        counts[values[i] * values[j] * values[k]] += 1
     return counts

@@ -29,7 +29,7 @@ from pmsquare.square import (
     CONTEXTS,
     NAMED_STATES,
     Context,
-    build_square,
+    cell_operator,
     commutation_relation,
     context_cells,
     context_operator_product,
@@ -63,20 +63,19 @@ def nonviolating_states():
 
 
 def test_criterion_01_structure():
-    square = build_square()
-    relation = commutation_relation(square)  # raises on any classification mismatch
+    relation = commutation_relation()  # raises on any classification mismatch
     ok = len(relation) == 36
     for (c1, c2), commutes in relation.items():
         ok = ok and commutes == (c1[0] == c2[0] or c1[1] == c2[1])
     entries_checked = 0
     for context in CONTEXTS:
-        ops = [square.operator(cell) for cell in context_cells(context)]
-        for entry in eigentable(context).entries:
+        ops = [cell_operator(cell) for cell in context_cells(context)]
+        for entry in eigentable(context):
             for op, value in zip(ops, entry.values):
                 residual = float(np.max(np.abs(op @ entry.vector - value * entry.vector)))
                 ok = ok and residual <= 1e-12
             entries_checked += 1
-        sign = context_operator_product(square, context)
+        sign = context_operator_product(context)
         expected = -1 if context == Context("column", 2) else 1
         ok = ok and sign == expected
     ok = ok and entries_checked == 24
@@ -92,7 +91,7 @@ def test_criterion_02_contradiction():
     partial = search_assignments(ROWS + COLS[:2])
     ok = ok and len(partial) == 16
     for assignment in partial:
-        v = assignment.context_values(Context("column", 2))
+        v = [assignment[r * 3 + c] for r, c in context_cells(Context("column", 2))]
         ok = ok and v[0] * v[1] * v[2] == 1
 
     for skipped in CONTEXTS:

@@ -123,6 +123,16 @@ def test_certificate_verification_refuses_a_nonpositive_bound_or_a_positive_colu
         _verify_certificate(a, np.array([1.0]), np.array([1.0]))
 
 
+def test_point_verification_refuses_a_nan_point():
+    with pytest.raises(InternalConsistencyError, match="residual nan"):
+        _verify_point(np.eye(2), np.ones(2), np.array([np.nan, np.nan]))
+
+
+def test_certificate_verification_refuses_a_nan_certificate():
+    with pytest.raises(InternalConsistencyError, match="y@b = nan"):
+        _verify_certificate(np.eye(2), np.ones(2), np.array([np.nan, np.nan]))
+
+
 def test_solve_verifies_every_point_and_certificate_it_returns(monkeypatch):
     checked = []
     for name in ("_verify_point", "_verify_certificate"):

@@ -25,7 +25,7 @@ from pmsquare.errors import InfeasibleModelError
 from pmsquare.hvmodels import PAIR_AXES, build_model1, build_model23, chsh_max_state, fine_joint
 from pmsquare.qm import expectations
 from pmsquare.realizations import build_realization, cell_classes
-from pmsquare.square import CONTEXTS, NAMED_STATES, Context, build_square, context_cells
+from pmsquare.square import CONTEXTS, NAMED_STATES, Context, cell_operator, context_cells
 
 from conftest import boundary_crossing, boundary_point, boundary_slope, random_states
 
@@ -57,10 +57,9 @@ def _chi_values(model, realization):
 
 
 def test_born_chi_is_six_on_every_state():
-    square = build_square()
     products = np.array(
         [
-            np.linalg.multi_dot([square.operator(cell) for cell in context_cells(context)])
+            np.linalg.multi_dot([cell_operator(cell) for cell in context_cells(context)])
             for context in CONTEXTS
         ]
     )

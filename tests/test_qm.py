@@ -116,6 +116,13 @@ def test_born_probability_rejects_unnormalized():
         born_probability(product_ket("00"), bad)
 
 
+def test_born_probability_is_at_most_one_where_the_raw_overlap_exceeds_it():
+    # rounding puts |<v|v>|^2 just above 1 on about a fifth of these kets
+    over = [v for v in random_states(20_000, seed=0) if abs(inner(v, v)) ** 2 > 1.0]
+    assert len(over) == 4480
+    assert all(born_probability(v, v) <= 1.0 for v in over)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_born_probability_sums_to_one_over_bases(seed):
@@ -195,6 +202,8 @@ def test_expectations_checks_every_operator_of_the_stack():
     skew[0, 1] = 1.0
     stack = np.array([pauli_tensor(l, r) for l in LABELS for r in LABELS] + [skew])
     assert is_hermitian(stack[:-1]) and not is_hermitian(stack)
+    # Hermitian, but not a two-qubit operator
+    assert not is_hermitian(np.eye(3))
     with pytest.raises(ValueError, match="not Hermitian"):
         expectations(product_ket("00"), stack)
 

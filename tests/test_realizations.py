@@ -23,7 +23,7 @@ from pmsquare.realizations import (
     translate_outcomes,
     translate_outcomes_inverse,
 )
-from pmsquare.square import CONTEXTS, admissible_triples, build_square, context_cells
+from pmsquare.square import CONTEXTS, admissible_triples, cell_operator, context_cells
 
 from conftest import random_states
 
@@ -255,12 +255,11 @@ def test_cell_of_derived_is_unique():
 def test_derived_measurements_are_statistically_faithful():
     # every derived measurement must reproduce the Born distribution of the
     # grid operator it realizes, eigenprojectors (I +/- O)/2 as the oracle
-    sq = build_square()
     states = random_states(100, seed=20260810)
     for index in (1, 2, 3):
         r = build_realization(index)
         for cell, ids in r.cell_map.items():
-            op = sq.operator(cell)
+            op = cell_operator(cell)
             plus = (np.eye(4) + op) / 2.0
             for did in ids:
                 derived = r.derived[did]

@@ -8,13 +8,12 @@ from pmsquare.errors import InternalConsistencyError
 from pmsquare.square import (
     CELLS,
     CONTEXTS,
+    GRID,
     NAMED_STATES,
-    Assignment,
     Context,
-    EigenTable,
-    PMSquare,
+    EigenEntry,
     admissible_triples,
-    build_square,
+    cell_operator,
     commutation_relation,
     context_cells,
     context_from_name,
@@ -36,11 +35,10 @@ COLS = tuple(Context("column", i) for i in range(3))
 
 
 def test_layout_matches_published_grid():
-    sq = build_square()
-    assert sq.labels((0, 0)) == ("Z", "I")
-    assert sq.labels((2, 2)) == ("Y", "Y")
-    assert sq.labels((1, 0)) == ("I", "X")
-    assert sq.grid == (
+    assert GRID[0][0] == ("Z", "I")
+    assert GRID[2][2] == ("Y", "Y")
+    assert GRID[1][0] == ("I", "X")
+    assert GRID == (
         (("Z", "I"), ("I", "Z"), ("Z", "Z")),
         (("I", "X"), ("X", "I"), ("X", "X")),
         (("Z", "X"), ("X", "Z"), ("Y", "Y")),
@@ -48,7 +46,7 @@ def test_layout_matches_published_grid():
 
 
 def test_commutation_equals_same_row_or_column():
-    relation = commutation_relation(build_square())
+    relation = commutation_relation()
     assert len(relation) == 36
     for (c1, c2), commutes in relation.items():
         assert commutes == (c1[0] == c2[0] or c1[1] == c2[1])
@@ -56,35 +54,34 @@ def test_commutation_equals_same_row_or_column():
 
 
 def test_commutation_against_manual_matrix_oracle():
-    sq = build_square()
     for c1, c2 in itertools.combinations(CELLS, 2):
-        a, b = sq.operator(c1), sq.operator(c2)
+        a, b = cell_operator(c1), cell_operator(c2)
         comm = matmul_oracle(a, b) - matmul_oracle(b, a)
         assert (np.max(np.abs(comm)) <= 1e-12) == (c1[0] == c2[0] or c1[1] == c2[1])
 
 
-def test_commutation_flags_tampered_square():
-    grid = [list(row) for row in build_square().grid]
+def test_commutation_flags_tampered_square(monkeypatch):
+    grid = [list(row) for row in GRID]
     grid[0][0] = ("Y", "Y")  # breaks commutation inside row 0
-    bad = PMSquare(tuple(tuple(row) for row in grid))
+    monkeypatch.setattr(square, "GRID", tuple(tuple(row) for row in grid))
     with pytest.raises(InternalConsistencyError):
-        commutation_relation(bad)
+        commutation_relation()
 
 
 # --- eigentables --------------------------------------------------------------
 
 
 def test_eigentable_row0_psi2():
-    table = eigentable(Context("row", 0))
-    entry = table.entries[1]
+    entries = eigentable(Context("row", 0))
+    entry = entries[1]
     assert entry.label == "psi2"
     assert np.array_equal(entry.vector, np.array([0, 1, 0, 0], dtype=complex))
     assert entry.values == (1, -1, -1)
 
 
 def test_eigentable_col2_phiPP1():
-    table = eigentable(Context("column", 2))
-    entry = table.entries[0]
+    entries = eigentable(Context("column", 2))
+    entry = entries[0]
     assert entry.label == "phiPP1"
     expected = np.zeros(4, dtype=complex)
     expected[0] = expected[3] = 1 / np.sqrt(2)
@@ -93,20 +90,19 @@ def test_eigentable_col2_phiPP1():
 
 
 def test_eigentable_row2_psiPP4():
-    table = eigentable(Context("row", 2))
-    assert table.entries[3].label == "psiPP4"
-    assert table.entries[3].values == (-1, -1, 1)
+    entries = eigentable(Context("row", 2))
+    assert entries[3].label == "psiPP4"
+    assert entries[3].values == (-1, -1, 1)
 
 
 def test_eigentable_invariants_all_contexts():
-    sq = build_square()
     for context in CONTEXTS:
-        table = eigentable(context)
-        ops = [sq.operator(cell) for cell in context_cells(context)]
-        vectors = [e.vector for e in table.entries]
+        entries = eigentable(context)
+        ops = [cell_operator(cell) for cell in context_cells(context)]
+        vectors = [e.vector for e in entries]
         gram = np.array([[np.vdot(u, v) for v in vectors] for u in vectors])
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
-        for entry in table.entries:
+        for entry in entries:
             for op, value in zip(ops, entry.values):
                 assert np.max(np.abs(op @ entry.vector - value * entry.vector)) <= 1e-12
             product = entry.values[0] * entry.values[1] * entry.values[2]
@@ -124,61 +120,50 @@ def test_admissible_triples_are_exactly_the_sign_patterns():
 
 
 def test_verify_eigentable_rejects_corrupt_values():
-    from pmsquare.square import EigenEntry
-
-    table = eigentable(Context("row", 0))
+    context = Context("row", 0)
+    entries = eigentable(context)
     # corrupt one eigenvalue triple: psi2 really has (1, -1, -1)
-    corrupt = EigenTable(
-        table.context,
-        (
-            table.entries[0],
-            EigenEntry("psi2", table.entries[1].vector, (1, 1, -1)),
-            table.entries[2],
-            table.entries[3],
-        ),
+    corrupt = (
+        entries[0],
+        EigenEntry("psi2", entries[1].vector, (1, 1, -1)),
+        entries[2],
+        entries[3],
     )
     with pytest.raises(InternalConsistencyError):
-        verify_eigentable(corrupt)
+        verify_eigentable(context, corrupt)
 
 
 @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
 def test_verify_eigentable_rejects_any_one_flipped_value_by_its_eigen_relation(context):
-    from pmsquare.square import EigenEntry
-
-    table = eigentable(context)
-    for row, entry in enumerate(table.entries):
+    entries = eigentable(context)
+    for row, entry in enumerate(entries):
         for slot in range(3):
             values = list(entry.values)
             values[slot] = -values[slot]
-            flipped = list(table.entries)
+            flipped = list(entries)
             flipped[row] = EigenEntry(entry.label, entry.vector, tuple(values))
             # the flipped triple no longer multiplies to the context sign
             assert int(np.prod(values)) != expected_context_sign(context)
             with pytest.raises(InternalConsistencyError, match=f"{entry.label} is not a"):
-                verify_eigentable(EigenTable(context, tuple(flipped)))
+                verify_eigentable(context, tuple(flipped))
 
 
 def test_verify_eigentable_rejects_swapped_triples():
-    from pmsquare.square import EigenEntry
-
-    table = eigentable(Context("row", 1))
-    first, second, *rest = table.entries
+    context = Context("row", 1)
+    first, second, *rest = eigentable(context)
     # both triples still multiply to +1, so only the eigen relations can tell
-    swapped = EigenTable(
-        table.context,
-        (
-            EigenEntry(first.label, first.vector, second.values),
-            EigenEntry(second.label, second.vector, first.values),
-            *rest,
-        ),
+    swapped = (
+        EigenEntry(first.label, first.vector, second.values),
+        EigenEntry(second.label, second.vector, first.values),
+        *rest,
     )
-    assert all(int(np.prod(entry.values)) == 1 for entry in swapped.entries)
+    assert all(int(np.prod(entry.values)) == 1 for entry in swapped)
     with pytest.raises(InternalConsistencyError, match="eigenvector"):
-        verify_eigentable(swapped)
+        verify_eigentable(context, swapped)
 
 
 def test_eigentable_vectors_are_read_only():
-    entry = eigentable(Context("row", 2)).entries[0]
+    entry = eigentable(Context("row", 2))[0]
     with pytest.raises(ValueError):
         entry.vector[0] = 0.0
 
@@ -192,9 +177,8 @@ def test_named_state_vectors_are_read_only():
 
 
 def test_context_products_match_signs():
-    sq = build_square()
     for context in CONTEXTS:
-        sign = context_operator_product(sq, context)
+        sign = context_operator_product(context)
         assert sign == (-1 if context == Context("column", 2) else 1)
 
 
@@ -202,13 +186,12 @@ def test_context_product_of_the_wrong_sign_is_an_internal_error(monkeypatch):
     expected = expected_context_sign
     monkeypatch.setattr(square, "expected_context_sign", lambda context: -expected(context))
     with pytest.raises(InternalConsistencyError, match="expected"):
-        context_operator_product(build_square(), CONTEXTS[0])
+        context_operator_product(CONTEXTS[0])
 
 
 def test_context_products_against_manual_oracle():
-    sq = build_square()
     for context in CONTEXTS:
-        a, b, c = (sq.operator(cell) for cell in context_cells(context))
+        a, b, c = (cell_operator(cell) for cell in context_cells(context))
         product = matmul_oracle(matmul_oracle(a, b), c)
         sign = expected_context_sign(context)
         assert np.max(np.abs(product - sign * np.eye(4))) <= 1e-12
@@ -248,12 +231,12 @@ def test_search_matches_enumeration_oracle_for_every_subset():
             for context in subset:
                 expected_indices &= masks[context]
             expected = sorted(assignments[i] for i in expected_indices)
-            got = [a.values for a in search_assignments(subset)]
+            got = search_assignments(subset)
             assert got == expected
 
 
 def test_search_results_are_lexicographically_sorted():
-    values = [a.values for a in search_assignments(ROWS)]
+    values = search_assignments(ROWS)
     assert values == sorted(values)
 
 
@@ -271,11 +254,17 @@ def test_five_constraints_force_third_column_product_positive():
     assert third_column_product_counts(survivors) == {1: 16, -1: 0}
 
 
-def test_assignment_accessors():
-    a = Assignment(tuple([1, -1, -1, 1, 1, 1, 1, 1, 1]))
-    assert a.value((0, 1)) == -1
-    assert a.context_values(Context("row", 0)) == (1, -1, -1)
-    assert a.context_values(Context("column", 0)) == (1, 1, 1)
+def test_assignments_are_row_major_nine_tuples():
+    # cell (0, 1) is slot 1 and (0, 2) is slot 2: row 0 reads (1, -1, -1),
+    # and column 2 reads slots 2, 5 and 8, whose product is -1
+    assert third_column_product_counts([(1, -1, -1, 1, 1, 1, 1, 1, 1)]) == {1: 0, -1: 1}
+    # with column 0 alone active, the survivors are exactly the tuples whose
+    # slots 0, 3 and 6 multiply to +1
+    survivors = search_assignments([Context("column", 0)])
+    assert len(survivors) == 256
+    assert all(a[0] * a[3] * a[6] == 1 for a in survivors)
+    assert (1, -1, -1, 1, 1, 1, 1, 1, 1) in survivors
+    assert (-1, 1, 1, 1, 1, 1, 1, 1, 1) not in survivors
 
 
 def test_context_from_name_accepts_both_spellings():
@@ -287,5 +276,21 @@ def test_context_from_name_accepts_both_spellings():
 
 
 def test_search_rejects_unknown_context():
-    with pytest.raises(ValueError):
-        search_assignments([Context("diagonal", 0)])
+    # a plain tuple or list naming a real context is not a Context either
+    for context in (("row", 0), ["row", 0], Context("diagonal", 0)):
+        with pytest.raises(ValueError, match="unknown context"):
+            search_assignments([context])
+
+
+def test_verify_eigentable_requires_four_entries():
+    context = Context("row", 0)
+    with pytest.raises(InternalConsistencyError, match="expected 4 entries"):
+        verify_eigentable(context, eigentable(context)[:3])
+
+
+def test_verify_eigentable_refuses_a_nan_vector():
+    context = Context("row", 0)
+    first, *rest = eigentable(context)
+    nan = EigenEntry(first.label, np.full(4, np.nan, dtype=complex), first.values)
+    with pytest.raises(InternalConsistencyError, match="not orthonormal"):
+        verify_eigentable(context, (nan, *rest))
