@@ -1,13 +1,14 @@
-"""Canonical --json reports of fixed command lines, compared byte for byte.
+"""Reports of fixed command lines, compared byte for byte.
 
 ``golden/cases.json`` lists each command line with its expected exit code
-and the file holding its expected stdout.  The lines are the README
-examples, ``verify``, ``ch``, every realization, models 1/2/3 on ``psi1``
-and ``chsh-max``, and models 2/3 plus samples 2/3 on a fixed Haar state
-with |S| < 2 (``golden/haar_state.json``), whose 256 hidden states are
-mostly of positive weight.  ``python tests/test_golden.py`` rewrites the
-files from the current code; a report change that needs this is stated
-in CHANGES.md.
+and the file holding its expected stdout.  The ``--json`` lines are the
+README examples, ``verify``, ``ch``, every realization, models 1/2/3 on
+``psi1`` and ``chsh-max``, and models 2/3 plus samples 2/3 on a fixed Haar
+state with |S| < 2 (``golden/haar_state.json``), whose 256 hidden states
+are mostly of positive weight.  The text lines (``.txt`` files) are the
+README examples as written, ``verify`` and models 2/3 on the Haar state.
+``python tests/test_golden.py`` rewrites the files from the current code;
+a report change that needs this is stated in CHANGES.md.
 """
 
 import contextlib
@@ -42,6 +43,7 @@ def test_every_readme_example_is_a_golden_case():
     assert lines and all(words[:1] == ["pmsquare"] for words in lines)
     argvs = [case["argv"] for case in CASES]
     for words in lines:
+        assert words[1:] in argvs, " ".join(words)
         assert words[1:] + ["--json"] in argvs, " ".join(words)
 
 
