@@ -2,9 +2,10 @@
 
 Subcommands: verify | contradiction | realization | model | sample | ch.
 Each run emits one report (human-readable by default, canonical JSON with
---json) and exits 0 when the report passes, 1 when a verification failed,
-2 on usage errors, and 3 when the requested model construction is
-infeasible for the given state.
+--json), and the exit code is worked out from that report: 0 when it
+passes, 3 when it is a refusal (its Fine status is "infeasible": the
+requested model construction is infeasible for the given state), and 1
+when another verification failed.  Usage errors exit 2 without a report.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .square import (
     CONTEXTS,
     NAMED_STATES,
     Context,
+    checked_eigentable,
     commutation_relation,
     context_from_name,
     context_operator_product,
     eigentable,
     search_assignments,
     third_column_product_counts,
-    verify_eigentable,
 )
 
 #: Expected requirement verdicts per realization: (unique ok, simultaneity ok).
@@ -173,16 +174,28 @@ def _witness_docs(
     return docs
 
 
-def _build_model(index: int, state: np.ndarray) -> hvmodels.HVModel:
-    if index == 1:
-        return hvmodels.build_model1(state)
-    return hvmodels.build_model23(state, realization_index=index)
+def _model_or_refusal(
+    args: argparse.Namespace, state: np.ndarray, inputs: dict[str, Any]
+) -> hvmodels.HVModel | Report:
+    """Model ``args.index`` of ``state``, or the failing report of Fine's refusal.
+
+    The refusal report holds the error, the Fine block with its certificate
+    and the CHSH block; its Fine status "infeasible" makes the exit code 3.
+    """
+    try:
+        if args.index == 1:
+            return hvmodels.build_model1(state)
+        return hvmodels.build_model23(state, realization_index=args.index)
+    except InfeasibleModelError as exc:
+        fine = exc.fine_result
+        results = {"error": str(exc), "fine": _fine_doc(fine), "ch": _ch_doc(fine.ch)}
+        return Report(args.command, inputs, results, False)
 
 
 # --- commands ------------------------------------------------------------------
 
 
-def cmd_verify() -> Report:
+def cmd_verify(args: argparse.Namespace) -> Report:
     results: dict[str, Any] = {}
     try:
         pairs = commutation_relation()
@@ -195,8 +208,7 @@ def cmd_verify() -> Report:
         }
         tables_doc: dict[str, Any] = {}
         for context in CONTEXTS:
-            entries = eigentable(context)
-            eigen_residual, ortho_residual = verify_eigentable(context, entries)
+            entries, (eigen_residual, ortho_residual) = checked_eigentable(context)
             tables_doc[context.name] = {
                 "entries": [{"label": e.label, "values": list(e.values)} for e in entries],
                 "max_eigen_residual": eigen_residual,
@@ -218,16 +230,18 @@ def cmd_verify() -> Report:
     return Report("verify", {}, results, passed)
 
 
-def cmd_contradiction(constraint_names: list[str] | None) -> Report:
-    if constraint_names is None:
+def cmd_contradiction(args: argparse.Namespace) -> Report:
+    if args.constraints is None:
         active = list(CONTEXTS)
         echo = ["all"]
     else:
+        echo = [part.strip() for part in args.constraints.split(",") if part.strip()]
+        if not echo:
+            raise UsageError("--constraints must name at least one context")
         try:
-            active = [context_from_name(name) for name in constraint_names]
+            active = [context_from_name(name) for name in echo]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        echo = list(constraint_names)
     survivors = search_assignments(active)
     results: dict[str, Any] = {
         "active_constraints": [c.name for c in active],
@@ -256,10 +270,10 @@ def cmd_contradiction(constraint_names: list[str] | None) -> Report:
     return Report("contradiction", {"constraints": echo}, results, passed)
 
 
-def cmd_realization(index: int) -> Report:
-    realization = build_realization(index)
+def cmd_realization(args: argparse.Namespace) -> Report:
+    realization = build_realization(args.index)
     report = check_requirements(realization)
-    expected_unique, expected_simultaneous = _EXPECTED_VERDICTS[index]
+    expected_unique, expected_simultaneous = _EXPECTED_VERDICTS[args.index]
     results = {
         "cell_map": {
             f"{cell[0]},{cell[1]}": list(ids)
@@ -288,28 +302,27 @@ def cmd_realization(index: int) -> Report:
         report.unique_realization_ok == expected_unique
         and report.simultaneity_ok == expected_simultaneous
     )
-    return Report("realization", {"index": index}, results, passed)
+    return Report("realization", {"index": args.index}, results, passed)
 
 
-def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: int) -> tuple[Report, bool]:
-    state, echo = resolve_state(state_spec, normalize=normalize)
-    inputs = {"index": index, "state": echo, "max_witnesses": max_witnesses}
-    try:
-        model = _build_model(index, state)
-    except InfeasibleModelError as exc:
-        fine = exc.fine_result
-        results = {"error": str(exc), "fine": _fine_doc(fine), "ch": _ch_doc(fine.ch)}
-        return Report("model", inputs, results, False), True
-    realization = build_realization(index)
+def cmd_model(args: argparse.Namespace) -> Report:
+    if args.max_witnesses < 0:
+        raise UsageError("--max-witnesses must be nonnegative")
+    state, echo = resolve_state(args.state, normalize=args.normalize)
+    inputs = {"index": args.index, "state": echo, "max_witnesses": args.max_witnesses}
+    model = _model_or_refusal(args, state, inputs)
+    if isinstance(model, Report):
+        return model
+    realization = build_realization(args.index)
     stats = hvmodels.reproduce_statistics(model, state)
     noncontextual = hvmodels.audit_noncontextuality(model, realization)
     witnesses = hvmodels.violation_witnesses(model, realization)
 
     # at most max_witnesses per context and per cell, so that each stays represented
-    context_docs = _witness_docs(model, witnesses.context_blocks, max_witnesses)
-    cell_docs = _witness_docs(model, witnesses.cell_blocks, max_witnesses)
+    context_docs = _witness_docs(model, witnesses.context_blocks, args.max_witnesses)
+    cell_docs = _witness_docs(model, witnesses.cell_blocks, args.max_witnesses)
     results: dict[str, Any] = {
-        "realization": index,
+        "realization": args.index,
         "hidden_states": len(model.probabilities),
         "probability_sum": float(stats.probability_sum),
         "statistics": vars(stats),
@@ -329,21 +342,22 @@ def cmd_model(index: int, state_spec: str, *, normalize: bool, max_witnesses: in
         results["fine"] = _fine_doc(model.fine)
         results["ch"] = _ch_doc(model.fine.ch)
     passed = stats.passed and noncontextual and not witnesses.simultaneous_violation_count
-    return Report("model", inputs, results, passed), False
+    return Report("model", inputs, results, passed)
 
 
-def cmd_sample(index: int, state_spec: str, shots: int, seed: int, *, normalize: bool) -> tuple[Report, bool]:
-    state, echo = resolve_state(state_spec, normalize=normalize)
-    inputs = {"index": index, "state": echo, "shots": shots, "seed": seed}
-    try:
-        model = _build_model(index, state)
-    except InfeasibleModelError as exc:
-        fine = exc.fine_result
-        results = {"error": str(exc), "fine": _fine_doc(fine), "ch": _ch_doc(fine.ch)}
-        return Report("sample", inputs, results, False), True
-    sample = hvmodels.sample_model(model, state, shots, seed)
+def cmd_sample(args: argparse.Namespace) -> Report:
+    if args.shots <= 0:
+        raise UsageError("--shots must be positive")
+    if not 0 <= args.seed < 2**64:
+        raise UsageError("--seed must be in [0, 2**64)")
+    state, echo = resolve_state(args.state, normalize=args.normalize)
+    inputs = {"index": args.index, "state": echo, "shots": args.shots, "seed": args.seed}
+    model = _model_or_refusal(args, state, inputs)
+    if isinstance(model, Report):
+        return model
+    sample = hvmodels.sample_model(model, state, args.shots, args.seed)
     results = {
-        "realization": index,
+        "realization": args.index,
         "rng": "numpy-philox",
         "shots": sample.shots,
         "seed": sample.seed,
@@ -358,11 +372,11 @@ def cmd_sample(index: int, state_spec: str, shots: int, seed: int, *, normalize:
             for mid, ms in sample.measurements.items()
         },
     }
-    return Report("sample", inputs, results, sample.passed), False
+    return Report("sample", inputs, results, sample.passed)
 
 
-def cmd_ch(state_spec: str, *, normalize: bool) -> Report:
-    state, echo = resolve_state(state_spec, normalize=normalize)
+def cmd_ch(args: argparse.Namespace) -> Report:
+    state, echo = resolve_state(args.state, normalize=args.normalize)
     report = hvmodels.ch_report(state)
     return Report("ch", {"state": echo}, _ch_doc(report), True)
 
@@ -372,7 +386,11 @@ def cmd_ch(state_spec: str, *, normalize: bool) -> Report:
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing never changes it."""
+    """The argument parser, built once per process; parsing never changes it.
+
+    It is the one list of the subcommands: each binds its ``cmd_*`` function
+    as ``run`` and names its arguments in --help order, then --json and --strict.
+    """
     parser = argparse.ArgumentParser(
         prog="pmsquare",
         description=(
@@ -382,89 +400,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit the canonical JSON report")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="self-check the report envelope before emitting it",
-        )
-
-    p = sub.add_parser("verify", help="check commutation structure, eigentables, products")
-    add_common(p)
-
-    p = sub.add_parser("contradiction", help="enumerate +/-1 assignments under constraints")
-    p.add_argument(
-        "--constraints",
-        help="comma-separated contexts (r0..r2,c0..c2 or row0..col2); default: all six",
+    arguments: dict[str, dict[str, Any]] = {
+        "index": {"type": int, "choices": (1, 2, 3)},
+        "--constraints": {
+            "help": "comma-separated contexts (r0..r2,c0..c2 or row0..col2); default: all six"
+        },
+        "--state": {"required": True, "help": "state name or state file"},
+        "--shots": {"type": int, "required": True},
+        "--seed": {"type": int, "required": True},
+        "--normalize": {"action": "store_true", "help": "rescale explicit amplitudes"},
+        "--max-witnesses": {"type": int, "default": 12, "help": "witness list cap per kind"},
+        "--json": {"action": "store_true", "help": "emit the canonical JSON report"},
+        "--strict": {
+            "action": "store_true",
+            "help": "self-check the report envelope before emitting it",
+        },
+    }
+    commands = (
+        ("verify", cmd_verify, "check commutation structure, eigentables, products", ""),
+        ("contradiction", cmd_contradiction, "enumerate +/-1 assignments under constraints",
+         "--constraints"),
+        ("realization", cmd_realization, "requirement report for a realization", "index"),
+        ("model", cmd_model, "build a hidden-variable model and test it",
+         "index --state --normalize --max-witnesses"),
+        ("sample", cmd_sample, "seeded Monte Carlo sampling of a model",
+         "index --state --shots --seed --normalize"),
+        ("ch", cmd_ch, "CHSH correlator report for a state", "--state --normalize"),
     )
-    add_common(p)
-
-    p = sub.add_parser("realization", help="requirement report for a realization")
-    p.add_argument("index", type=int, choices=(1, 2, 3))
-    add_common(p)
-
-    p = sub.add_parser("model", help="build a hidden-variable model and test it")
-    p.add_argument("index", type=int, choices=(1, 2, 3))
-    p.add_argument("--state", required=True, help="state name or state file")
-    p.add_argument("--normalize", action="store_true", help="rescale explicit amplitudes")
-    p.add_argument("--max-witnesses", type=int, default=12, help="witness list cap per kind")
-    add_common(p)
-
-    p = sub.add_parser("sample", help="seeded Monte Carlo sampling of a model")
-    p.add_argument("index", type=int, choices=(1, 2, 3))
-    p.add_argument("--state", required=True, help="state name or state file")
-    p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--normalize", action="store_true", help="rescale explicit amplitudes")
-    add_common(p)
-
-    p = sub.add_parser("ch", help="CHSH correlator report for a state")
-    p.add_argument("--state", required=True, help="state name or state file")
-    p.add_argument("--normalize", action="store_true", help="rescale explicit amplitudes")
-    add_common(p)
-
+    for name, run, help_text, names in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        for argument in names.split() + ["--json", "--strict"]:
+            p.add_argument(argument, **arguments[argument])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    infeasible = False
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            report = cmd_verify()
-        elif args.command == "contradiction":
-            names = None
-            if args.constraints is not None:
-                names = [part.strip() for part in args.constraints.split(",") if part.strip()]
-                if not names:
-                    raise UsageError("--constraints must name at least one context")
-            report = cmd_contradiction(names)
-        elif args.command == "realization":
-            report = cmd_realization(args.index)
-        elif args.command == "model":
-            if args.max_witnesses < 0:
-                raise UsageError("--max-witnesses must be nonnegative")
-            report, infeasible = cmd_model(
-                args.index,
-                args.state,
-                normalize=args.normalize,
-                max_witnesses=args.max_witnesses,
-            )
-        elif args.command == "sample":
-            if args.shots <= 0:
-                raise UsageError("--shots must be positive")
-            if not 0 <= args.seed < 2**64:
-                raise UsageError("--seed must be in [0, 2**64)")
-            report, infeasible = cmd_sample(
-                args.index, args.state, args.shots, args.seed, normalize=args.normalize
-            )
-        elif args.command == "ch":
-            report = cmd_ch(args.state, normalize=args.normalize)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        report = args.run(args)
     except UsageError as exc:
         print(f"pmsquare: {exc}", file=sys.stderr)
         return 2
@@ -477,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     print(render_json(report) if args.json else render_text(report))
     if report.passed:
         return 0
-    return 3 if infeasible else 1
+    return 3 if report.results.get("fine", {}).get("status") == "infeasible" else 1
 
 
 if __name__ == "__main__":

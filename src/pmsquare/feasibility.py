@@ -127,10 +127,7 @@ def solve(system: LinearSystem) -> FeasibilityResult:
 
     # phase-1 duals: the reduced cost of artificial i is 1 - y_i
     y = signs * (1.0 - reduced[n : n + m])
-    scale = float(np.max(np.abs(y)))
-    if scale <= 0.0:
-        raise InternalConsistencyError("infeasible system produced a zero dual vector")
-    y = y / scale
+    y = y / np.max(np.abs(y))
     _verify_certificate(a, b, y)
     return FeasibilityResult("infeasible", None, y, objective)
 

@@ -236,7 +236,7 @@ def chsh_max_state() -> np.ndarray:
         - pauli_tensor("X", "X")
     )
     residual = float(np.max(np.abs(apply(witness_op, v) - 2.0 * s * v)))
-    if residual > VERIFY_ATOL:
+    if not residual <= VERIFY_ATOL:
         raise InternalConsistencyError(
             f"CHSH witness state failed the eigenvector check (residual {residual:.3e})"
         )

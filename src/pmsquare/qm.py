@@ -134,7 +134,7 @@ def expectations(state: np.ndarray, ops: np.ndarray) -> np.ndarray:
     if not is_normalized(state):
         raise ValueError("state is not normalized")
     values = np.array([np.vdot(state, row) for row in ops @ state], dtype=complex)
-    if np.max(np.abs(values.imag)) > VERIFY_ATOL:
+    if not np.max(np.abs(values.imag)) <= VERIFY_ATOL:
         raise InternalConsistencyError(
             "expectation of a Hermitian operator came out complex: "
             f"{values[np.argmax(np.abs(values.imag))]!r}"

@@ -225,9 +225,9 @@ def _verify_resolution(measurement: PhysicalMeasurement) -> None:
     # projectors must be mutually orthogonal and sum to the identity
     p = measurement.projectors
     overlaps = np.max(np.abs(p[:, np.newaxis] @ p), axis=(2, 3))  # [k, k]: |p_i p_j|
-    if np.any(overlaps[~np.eye(len(p), dtype=bool)] > VERIFY_ATOL):
+    if not np.all(overlaps[~np.eye(len(p), dtype=bool)] <= VERIFY_ATOL):
         raise InternalConsistencyError(f"{measurement.id}: outcome projectors are not orthogonal")
-    if np.max(np.abs(p.sum(axis=0) - IDENTITY4)) > VERIFY_ATOL:
+    if not np.max(np.abs(p.sum(axis=0) - IDENTITY4)) <= VERIFY_ATOL:
         raise InternalConsistencyError(f"{measurement.id}: projectors do not sum to identity")
 
 

@@ -7,7 +7,8 @@ the schema lives in docs/report-schema.json.
 
 Rendering makes one piece per dict entry and per list item, and joins a
 container that is a list item, such as a witness doc, into one piece, so it
-holds about 2-3 times the output's size, not a piece per brace and comma.
+holds about 2-3 times the output's size, not a piece per brace and comma or,
+in the text form, per line.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def _render_text(value: Any, indent: int, lines: list[str]) -> None:
     elif isinstance(value, (list, tuple)):
         for item in value:
             if isinstance(item, (dict, list, tuple)) and item:
-                lines.append(f"{pad}-")
-                _render_text(item, indent + 1, lines)
+                joined = [f"{pad}-"]
+                _render_text(item, indent + 1, joined)
+                lines.append("\n".join(joined))
             else:
                 lines.append(f"{pad}- {_scalar_text(item)}")
     else:

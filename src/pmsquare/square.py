@@ -195,8 +195,8 @@ def verify_eigentable(context: Context, entries: tuple[EigenEntry, ...]) -> tupl
 
 
 @lru_cache(maxsize=None)
-def eigentable(context: Context) -> tuple[EigenEntry, ...]:
-    """The four common-eigenbasis entries of a context, verified before they are returned."""
+def checked_eigentable(context: Context) -> tuple[tuple[EigenEntry, ...], tuple[float, float]]:
+    """A context's four entries with the residuals ``verify_eigentable`` found for them."""
     if context not in _TABLE_STATES:
         raise ValueError(f"unknown context {context!r}")
     triples = _MINUS_TRIPLES if expected_context_sign(context) < 0 else _PLUS_TRIPLES
@@ -204,8 +204,12 @@ def eigentable(context: Context) -> tuple[EigenEntry, ...]:
         EigenEntry(label, vector, values)
         for (label, vector), values in zip(_TABLE_STATES[context], triples)
     )
-    verify_eigentable(context, entries)
-    return entries
+    return entries, verify_eigentable(context, entries)
+
+
+def eigentable(context: Context) -> tuple[EigenEntry, ...]:
+    """The four common-eigenbasis entries of a context, verified on first use."""
+    return checked_eigentable(context)[0]
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pmsquare.cli import cmd_sample
+from pmsquare.cli import build_parser, cmd_sample
 from pmsquare.hvmodels import (
     build_model1,
     build_model23,
@@ -227,11 +227,14 @@ def test_criterion_08_fine_equivalence():
 
 
 def test_criterion_09_sampling():
-    report1, infeasible1 = cmd_sample(1, "psi1", 1_000_000, 42, normalize=False)
-    report2, infeasible2 = cmd_sample(1, "psi1", 1_000_000, 42, normalize=False)
+    args = build_parser().parse_args(
+        ["sample", "1", "--state", "psi1", "--shots", "1000000", "--seed", "42"]
+    )
+    report1 = cmd_sample(args)
+    report2 = cmd_sample(args)
     first = render_json(report1).encode("utf-8")
     second = render_json(report2).encode("utf-8")
-    ok = not infeasible1 and not infeasible2 and first == second
+    ok = report1.passed and report2.passed and first == second
     measurements = report1.results["measurements"]
     ok = ok and set(measurements) == {"Lzz", "Lxx", "B"}
     for doc in measurements.values():

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pmsquare import square
 from pmsquare.cli import main, resolve_state
 
 from conftest import boundary_crossing, boundary_point, boundary_slope
 
-HAAR = str(Path(__file__).resolve().parent / "golden" / "haar_state.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+HAAR = str(GOLDEN / "haar_state.json")
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
 )
@@ -49,6 +51,22 @@ def test_verify_passes_and_reports_products(capsys):
     assert results["checks"]["eigenvector_checks"] == 24
     assert results["checks"]["product_signs"] == 6
     assert len(results["commutation"]["pairs"]) == 36
+
+
+def test_one_verify_checks_each_eigentable_once(monkeypatch, capsys):
+    checked = []
+    verify_eigentable = square.verify_eigentable
+
+    def spy(context, entries):
+        checked.append(context)
+        return verify_eigentable(context, entries)
+
+    monkeypatch.setattr(square, "verify_eigentable", spy)
+    square.checked_eigentable.cache_clear()
+    code, out = run_cli(capsys, "verify", "--json")
+    assert code == 0
+    assert sorted(checked) == sorted(square.CONTEXTS)
+    assert out == (GOLDEN / "verify.json").read_text(encoding="utf-8")
 
 
 # --- contradiction --------------------------------------------------------------
@@ -243,6 +261,23 @@ def test_sample_accepts_seed_range_ends(capsys, seed):
     )
     assert code == 0
     assert document["results"]["seed"] == seed
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sample 2 --state chsh-max --shots 0 --seed 0", "--shots must be positive"),
+        ("model 2 --state chsh-max --max-witnesses -1", "--max-witnesses must be nonnegative"),
+        ("sample 1 --state missing.json --shots 0 --seed 0", "--shots must be positive"),
+    ],
+)
+def test_a_bad_option_is_reported_before_the_state_is_resolved_or_refused(capsys, line, message):
+    # a refused or unreadable state must not hide the usage error
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"pmsquare: {message}\n"
 
 
 # --- state resolution -------------------------------------------------------------------

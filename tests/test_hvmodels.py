@@ -96,6 +96,12 @@ def test_chsh_max_state_refuses_a_vector_off_the_eigenvalue(monkeypatch):
         chsh_max_state()
 
 
+def test_chsh_max_state_refuses_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(hvmodels, "apply", lambda op, v: np.full(4, np.nan))
+    with pytest.raises(InternalConsistencyError, match="eigenvector check"):
+        chsh_max_state()
+
+
 def test_ch_report_product_state():
     report = ch_report(PSI1)
     assert report.correlators[("z", "z")] == pytest.approx(1.0, abs=1e-12)

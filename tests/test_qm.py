@@ -216,6 +216,14 @@ def test_expectations_refuses_a_complex_value(monkeypatch):
         expectations(product_ket("00"), stack)
 
 
+def test_expectations_refuses_a_nan_imaginary_part():
+    # Hermitian and applied to a unit ket, but its value overflows to inf + nan*1j
+    ops = np.full((1, 4, 4), 1e308, complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InternalConsistencyError, match="came out complex"):
+            expectations(ket([0.5] * 4), ops)
+
+
 def test_expectations_refuses_a_ket_off_by_a_millionth():
     state = np.array([1.0 + 1e-6, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="state is not normalized"):

@@ -163,6 +163,17 @@ def test_verify_resolution_rejects_an_incomplete_set():
         _verify_resolution(measurement)
 
 
+@pytest.mark.parametrize(
+    "count, message", [(4, "not orthogonal"), (1, "do not sum to identity")]
+)
+def test_verify_resolution_refuses_nan_projectors(count, message):
+    # one projector has no pair to overlap, so only the sum check sees its NaN
+    projectors = np.full((count, 4, 4), np.nan, complex)
+    measurement = PhysicalMeasurement("nan", tuple(range(1, count + 1)), projectors)
+    with pytest.raises(InternalConsistencyError, match=message):
+        _verify_resolution(measurement)
+
+
 # --- derived outcomes --------------------------------------------------------
 
 

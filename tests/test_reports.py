@@ -195,12 +195,12 @@ def test_a_repeated_document_renders_like_the_isinstance_chain_renderer(document
     assert render_json(report) == _reference_json(report)
 
 
-def _traced_render(report):
+def _traced_render(report, render=render_json):
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        text = render_json(report)
+        text = render(report)
         return text, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -211,8 +211,21 @@ def _traced_render(report):
 )
 def test_rendering_a_model_report_holds_at_most_four_times_its_output(monkeypatch, index, cap):
     monkeypatch.chdir(GOLDEN)
-    report, _ = cli.cmd_model(index, "haar_state.json", normalize=False, max_witnesses=cap)
+    argv = ["model", str(index), "--state", "haar_state.json", "--max-witnesses", str(cap)]
+    report = cli.cmd_model(cli.build_parser().parse_args(argv))
     text, peak = _traced_render(report)
     if cap == 12:
         assert text + "\n" == (GOLDEN / "model-3-haar.json").read_text(encoding="utf-8")
     assert peak <= 4 * len(text), (peak, len(text))
+
+
+def test_rendering_the_uncapped_model_report_as_text_holds_at_most_three_times_its_output(
+    monkeypatch,
+):
+    # one piece per line held about five times the output
+    monkeypatch.chdir(GOLDEN)
+    argv = ["model", "2", "--state", "haar_state.json", "--max-witnesses", "100000"]
+    report = cli.cmd_model(cli.build_parser().parse_args(argv))
+    text, peak = _traced_render(report, render_text)
+    assert len(text) == 591_801
+    assert peak <= 3 * len(text), (peak, len(text))
