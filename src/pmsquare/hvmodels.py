@@ -127,8 +127,11 @@ _CORRELATORS.setflags(write=False)
 #: Philox word w has k in its top log2(G) = 12 bits, ``w >> 52``.
 _GUIDE_BUCKETS = 4096
 
-#: Philox words drawn and tallied per step of ``sample_model``.
-_SAMPLE_CHUNK = 1 << 16
+#: Philox words drawn and tallied per step of ``sample_model``: 16,384 words
+#: (128 KB).  The time per shot is flat from 2**14 to 2**16 words, and the
+#: working set of a chunk (words, bucket indices, straddle mask) is a
+#: quarter of 2**16's, so a call peaks at about 0.4 MB for any shot count.
+_SAMPLE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,18 @@ def fine_joint(state: np.ndarray) -> FineResult:
     if result.status == "feasible":
         joint = {key: float(p) for key, p in zip(WING_VALUES, result.point)}
         return FineResult("feasible", MappingProxyType(joint), None, report, system, mixing)
+    # a refusal must be the violated CHSH inequality: y.b = 0.625 (|S| - 2)
+    # and every entry of y.A is 0 or -2.5; written so that NaN fails
+    value = float(result.certificate @ system.rhs)
+    against = result.certificate @ _MARGINALIZATION
+    if not (
+        abs(value - 0.625 * (report.max_abs - 2.0)) <= 1e-12
+        and np.all(np.minimum(np.abs(against), np.abs(against + 2.5)) <= 1e-12)
+    ):
+        raise InternalConsistencyError(
+            f"the Farkas certificate does not decode as the CHSH inequality "
+            f"(y@b = {value!r} at |S| = {report.max_abs!r})"
+        )
     result.certificate.setflags(write=False)
     return FineResult("infeasible", None, result.certificate, report, system, mixing)
 
@@ -620,7 +635,11 @@ def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
     of the bucket's two edges, so only words in buckets that straddle a CDF
     edge are turned into variates and searched, and the rest are tallied
     per bucket.  The bucket bounds are running counts of ``ceil(cumulative
-    * G)`` (``_guide_bounds``), so no edge is searched for.
+    * G)`` (``_guide_bounds``), so no edge is searched for.  The straddling
+    variates are sorted before the search, which then walks the CDF in
+    order; counts do not depend on the order.  Each chunk's words, bucket
+    indices and straddle mask are dropped before the next chunk is drawn,
+    so a call holds one chunk's working set at a time.
     """
     n = len(cumulative)
     bounds = _guide_bounds(cumulative)
@@ -631,6 +650,8 @@ def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
         buckets = (words >> 52).view(np.int64)
         bucket_counts += np.bincount(buckets, minlength=_GUIDE_BUCKETS)
         draws = (np.compress(straddles[buckets], words) >> 11) * 2.0**-53
+        del words, buckets
+        draws.sort()
         searched = np.searchsorted(cumulative, draws, side="right")
         counts += np.bincount(np.minimum(searched, n - 1), minlength=n)
     np.add.at(counts, lo[~straddles], bucket_counts[~straddles])
@@ -646,12 +667,14 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     double, so runs are reproducible across platforms and shardable by
     counter offset: as ``advance(1)`` skips 4 words, shard offsets k are
     multiples of 4 and a shard starts from ``Philox(key=seed).advance(k //
-    4)``.  The words are streamed in fixed-size chunks and mapped to hidden
-    states by an exact guide-table lookup on the cumulative weights: the
-    top 12 bits choose the bucket, the buckets' state bounds come from
-    counts of ``ceil(cumulative * 4096)``, and only words in buckets that
-    straddle a CDF edge become variates, so memory per call is O(chunk +
-    states) for any ``shots``.  The Born distributions of all measurements
+    4)``.  The words are streamed in chunks of ``_SAMPLE_CHUNK`` and mapped
+    to hidden states by an exact guide-table lookup on the cumulative
+    weights: the top 12 bits choose the bucket, the buckets' state bounds
+    come from counts of ``ceil(cumulative * 4096)``, and only words in
+    buckets that straddle a CDF edge become variates, sorted before they
+    are searched.  A chunk's words, bucket indices and straddle mask are
+    dropped before the next chunk is drawn, so the working set is one
+    16,384-word chunk's, about 0.4 MB for any ``shots``.  The Born distributions of all measurements
     come from one checked ``expectations`` call.  The pass flag checks
     every total-variation distance against 5/sqrt(shots).  ``shots`` must
     be a positive int and ``seed`` an int in [0, 2**64); a bool is neither.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmsquare import cli, hvmodels
+from pmsquare import cli, feasibility, hvmodels
 from pmsquare.errors import InfeasibleModelError, InternalConsistencyError
 from pmsquare.hvmodels import (
     _CORRELATORS,
@@ -348,6 +348,25 @@ def test_fine_verdict_that_contradicts_the_chsh_report_is_an_internal_error(monk
     )
     with pytest.raises(InternalConsistencyError, match="feasible"):
         fine_joint(PSI1)
+
+
+@pytest.mark.parametrize(
+    "certificate", [lambda y: 0.5 * y, lambda y: np.full_like(y, np.nan)], ids=["scaled", "nan"]
+)
+def test_a_certificate_that_is_not_the_chsh_inequality_is_an_internal_error(
+    monkeypatch, certificate
+):
+    # a half-scaled certificate still proves infeasibility but decodes to
+    # y.b = 0.3125 (|S| - 2) and y.A in {0, -1.25}; NaN must not pass either
+    solve = feasibility.solve
+
+    def tampered(system):
+        result = solve(system)
+        return dataclasses.replace(result, certificate=certificate(result.certificate))
+
+    monkeypatch.setattr(feasibility, "solve", tampered)
+    with pytest.raises(InternalConsistencyError, match="does not decode"):
+        fine_joint(chsh_max_state())
 
 
 def test_fine_results_are_read_only():
@@ -1093,9 +1112,11 @@ def test_sampling_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
 
 def test_sampling_shards_at_a_multiple_of_four_add_up_to_one_run():
     # Philox.advance(1) skips 4 variates, so a shard at offset k (a multiple
-    # of 4) starts from advance(k // 4); offsets 1..3 past it are unreachable
-    shots, seed, offset = 2 * _SAMPLE_CHUNK + 100, 23, 4 * 12_345
+    # of 4) starts from advance(k // 4); offsets 1..3 past it are unreachable.
+    # The offset falls inside the second chunk, so each shard spans two chunks.
+    shots, seed, offset = 2 * _SAMPLE_CHUNK + 100, 23, _SAMPLE_CHUNK + 4 * 12
     assert offset % 4 == 0 and offset % _SAMPLE_CHUNK != 0
+    assert min(offset, shots - offset) > _SAMPLE_CHUNK
 
     def stream(step):
         return np.random.Philox(key=np.uint64(seed)).advance(step)
@@ -1134,6 +1155,31 @@ def test_sampling_memory_does_not_grow_with_the_shots():
         _sampling_peak_bytes(model, state, two_chunks)  # warm up the cached realization and numpy
         small = _sampling_peak_bytes(model, state, two_chunks)
         assert _sampling_peak_bytes(model, state, 2_000_000) <= small + 64 * 1024
+
+
+def test_sampling_holds_one_chunk_of_words_at_a_time():
+    # the working set is one chunk's words, bucket indices and straddle
+    # mask, about 0.4 MB; holding the previous chunk's arrays while the
+    # next is drawn read 1.69 MB at two million shots
+    state = random_states(1, seed=79)[0]
+    models = _models_for(state)
+    assert len(models) == 3
+    for model in models:
+        _sampling_peak_bytes(model, state, 2 * _SAMPLE_CHUNK + 1)  # warm up
+        assert _sampling_peak_bytes(model, state, 2_000_000) <= 448 * 1024
+
+
+def test_sampling_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 200,003 shots span several chunks of either size, and the last is partial
+    state = random_states(1, seed=80)[0]
+    models = _models_for(state)
+    assert len(models) == 3
+    for model in models:
+        reports = []
+        for chunk in (1 << 14, 1 << 16):
+            monkeypatch.setattr(hvmodels, "_SAMPLE_CHUNK", chunk)
+            reports.append(sample_model(model, state, 200_003, seed=29))
+        assert reports[0] == reports[1]
 
 
 def test_sampling_rejects_bad_shots():
