@@ -672,12 +672,12 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     weights: the top 12 bits choose the bucket, the buckets' state bounds
     come from counts of ``ceil(cumulative * 4096)``, and only words in
     buckets that straddle a CDF edge become variates, sorted before they
-    are searched.  A chunk's words, bucket indices and straddle mask are
-    dropped before the next chunk is drawn, so the working set is one
-    16,384-word chunk's, about 0.4 MB for any ``shots``.  The Born distributions of all measurements
-    come from one checked ``expectations`` call.  The pass flag checks
-    every total-variation distance against 5/sqrt(shots).  ``shots`` must
-    be a positive int and ``seed`` an int in [0, 2**64); a bool is neither.
+    are searched.  ``_tally`` holds one chunk's words, bucket indices and
+    straddle mask at a time, so a call peaks at about 0.4 MB for any
+    ``shots``.  The Born distributions of all measurements come from one
+    checked ``expectations`` call.  The pass flag checks every
+    total-variation distance against 5/sqrt(shots).  ``shots`` must be a
+    positive int and ``seed`` an int in [0, 2**64); a bool is neither.
     """
     if type(shots) is not int or shots <= 0:
         raise ValueError(f"shots must be a positive int, got {shots!r}")

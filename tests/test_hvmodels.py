@@ -1159,8 +1159,8 @@ def test_sampling_memory_does_not_grow_with_the_shots():
 
 def test_sampling_holds_one_chunk_of_words_at_a_time():
     # the working set is one chunk's words, bucket indices and straddle
-    # mask, about 0.4 MB; holding the previous chunk's arrays while the
-    # next is drawn read 1.69 MB at two million shots
+    # mask: a call peaks at about 0.38 MB, while keeping one more chunk's
+    # words and buckets alive takes it past 0.46 MB
     state = random_states(1, seed=79)[0]
     models = _models_for(state)
     assert len(models) == 3
