@@ -8,6 +8,7 @@ pure; nothing mutates its arguments.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Literal
 
 import numpy as np
@@ -21,14 +22,18 @@ NORM_ATOL = 1e-9
 
 PauliLabel = Literal["I", "X", "Y", "Z"]
 
-PAULI: dict[str, np.ndarray] = {
-    "I": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+PAULI = MappingProxyType(
+    {
+        "I": np.array([[1, 0], [0, 1]], dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+)
 
 IDENTITY4 = np.eye(4, dtype=complex)
+for _matrix in (*PAULI.values(), IDENTITY4):
+    _matrix.setflags(write=False)
 
 _QUBIT_KETS = {
     "0": np.array([1, 0], dtype=complex),

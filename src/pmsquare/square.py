@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -141,9 +142,9 @@ _TABLE_STATES: dict[Context, tuple[tuple[str, np.ndarray], ...]] = {
 
 #: Every table state by label; doubles as the CLI's named-state catalogue.
 #: The eigentables share these vectors, so they are made read-only.
-NAMED_STATES: dict[str, np.ndarray] = {
-    label: vector for entries in _TABLE_STATES.values() for label, vector in entries
-}
+NAMED_STATES = MappingProxyType(
+    {label: vector for entries in _TABLE_STATES.values() for label, vector in entries}
+)
 for _vector in NAMED_STATES.values():
     _vector.setflags(write=False)
 

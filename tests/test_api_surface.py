@@ -14,7 +14,10 @@ of their name is read.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -156,3 +159,16 @@ def test_a_member_counts_as_used_by_another_member_but_not_by_itself():
     assert set(defined) == {"Tree", "Tree.depth", "Tree.width", "Tree.leaves"}
     assert {"width", "leaves", "size", "_hidden"} <= used
     assert "depth" not in used
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    # each public name has one import path, its module; the package re-exports nothing
+    script = (
+        "import sys, pmsquare\n"
+        "print(sorted(n for n in sys.modules if n.startswith('pmsquare.') or n == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"

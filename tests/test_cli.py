@@ -414,6 +414,16 @@ def test_bad_state_file_is_a_usage_error(tmp_path, capsys):
     assert main(["ch", "--state", str(path)]) == 2
 
 
+@pytest.mark.parametrize("count", [1, 5])
+def test_amplitudes_must_be_exactly_four_pairs(tmp_path, capsys, count):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [[0.5, 0]] * count}), encoding="utf-8")
+    assert main(["ch", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pmsquare: 'amplitudes' must list four [re, im] pairs\n"
+
+
 @pytest.mark.parametrize(
     "amplitudes",
     [

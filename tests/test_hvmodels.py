@@ -1122,8 +1122,10 @@ def test_sampling_shards_at_a_multiple_of_four_add_up_to_one_run():
         return np.random.Philox(key=np.uint64(seed)).advance(step)
 
     assert np.array_equal(stream(1).random_raw(8), stream(0).random_raw(12)[4:])
-    state = random_states(1, seed=78)[0]
-    for model in _models_for(state):
+    state = random_states(1, seed=79)[0]
+    models = _models_for(state)
+    assert [model.realization_index for model in models] == [1, 2, 3]
+    for model in models:
         probabilities = np.maximum(model.probabilities, 0.0)
         cumulative = np.cumsum(probabilities / probabilities.sum())
         first = _tally(cumulative, [stream(0).random_raw(offset)])

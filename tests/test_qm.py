@@ -64,6 +64,19 @@ def test_pauli_tensor_hermitian_unitary_square_identity(left, right):
     assert np.max(np.abs(op @ op - np.eye(4))) <= 1e-12
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_pauli_matrices_and_their_table_are_read_only(label):
+    with pytest.raises(ValueError):
+        PAULI[label][1, 1] = 1
+    with pytest.raises(TypeError):
+        PAULI[label] = np.eye(2, dtype=complex)
+
+
+def test_identity4_is_read_only():
+    with pytest.raises(ValueError):
+        qm.IDENTITY4[0, 0] = 0
+
+
 def test_pauli_tensor_rejects_unknown_label():
     with pytest.raises(ValueError):
         pauli_tensor("Q", "I")

@@ -173,6 +173,13 @@ def test_named_state_vectors_are_read_only():
         NAMED_STATES["psi1"][1] = 1.0
 
 
+def test_named_state_catalogue_is_read_only():
+    with pytest.raises(TypeError):
+        NAMED_STATES["psi1"] = np.array([1, 0, 0, 0], dtype=complex)
+    with pytest.raises(TypeError):
+        del NAMED_STATES["psi1"]
+
+
 # --- context operator products -------------------------------------------------
 
 
