@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: verify | contradiction | realization | model | sample | ch.
-Each run emits one report (human-readable by default, canonical JSON with
---json), and the exit code is worked out from that report: 0 when it
-passes, 3 when it is a refusal (its Fine status is "infeasible": the
-requested model construction is infeasible for the given state), and 1
-when another verification failed.  Usage errors exit 2 without a report.
+Each run checks its report's envelope, then prints the report (text, or
+canonical JSON with --json); the exit code is 0 when it passes, 3 when it
+is a refusal (Fine status "infeasible") and 1 when another check failed.
+A failed internal cross-check exits 1 and a usage error 2, each with one
+stderr line and no report; a reader that closes stdout early gets exit 1.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping
@@ -197,37 +198,32 @@ def _model_or_refusal(
 
 def cmd_verify(args: argparse.Namespace) -> Report:
     results: dict[str, Any] = {}
-    try:
-        pairs = commutation_relation()
-        results["commutation"] = {
-            "pairs_checked": len(pairs),
-            "pairs": [
-                {"cells": [list(c1), list(c2)], "commute": bool(flag)}
-                for (c1, c2), flag in pairs.items()
-            ],
+    pairs = commutation_relation()
+    results["commutation"] = {
+        "pairs_checked": len(pairs),
+        "pairs": [
+            {"cells": [list(c1), list(c2)], "commute": bool(flag)}
+            for (c1, c2), flag in pairs.items()
+        ],
+    }
+    tables_doc: dict[str, Any] = {}
+    for context in CONTEXTS:
+        entries, (eigen_residual, ortho_residual) = checked_eigentable(context)
+        tables_doc[context.name] = {
+            "entries": [{"label": e.label, "values": list(e.values)} for e in entries],
+            "max_eigen_residual": eigen_residual,
+            "max_orthonormality_residual": ortho_residual,
         }
-        tables_doc: dict[str, Any] = {}
-        for context in CONTEXTS:
-            entries, (eigen_residual, ortho_residual) = checked_eigentable(context)
-            tables_doc[context.name] = {
-                "entries": [{"label": e.label, "values": list(e.values)} for e in entries],
-                "max_eigen_residual": eigen_residual,
-                "max_orthonormality_residual": ortho_residual,
-            }
-        results["eigentables"] = tables_doc
-        results["context_products"] = {
-            context.name: context_operator_product(context) for context in CONTEXTS
-        }
-        results["checks"] = {
-            "commutation_pairs": len(pairs),
-            "eigenvector_checks": sum(len(eigentable(c)) for c in CONTEXTS),
-            "product_signs": len(CONTEXTS),
-        }
-        passed = True
-    except InternalConsistencyError as exc:
-        results["error"] = str(exc)
-        passed = False
-    return Report("verify", {}, results, passed)
+    results["eigentables"] = tables_doc
+    results["context_products"] = {
+        context.name: context_operator_product(context) for context in CONTEXTS
+    }
+    results["checks"] = {
+        "commutation_pairs": len(pairs),
+        "eigenvector_checks": sum(len(eigentable(c)) for c in CONTEXTS),
+        "product_signs": len(CONTEXTS),
+    }
+    return Report("verify", {}, results, True)
 
 
 def cmd_contradiction(args: argparse.Namespace) -> Report:
@@ -389,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing never changes it.
 
     It is the one list of the subcommands: each binds its ``cmd_*`` function
-    as ``run`` and names its arguments in --help order, then --json and --strict.
+    as ``run`` and names its arguments in --help order, then --json.
     """
     parser = argparse.ArgumentParser(
         prog="pmsquare",
@@ -411,10 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalize": {"action": "store_true", "help": "rescale explicit amplitudes"},
         "--max-witnesses": {"type": int, "default": 12, "help": "witness list cap per kind"},
         "--json": {"action": "store_true", "help": "emit the canonical JSON report"},
-        "--strict": {
-            "action": "store_true",
-            "help": "self-check the report envelope before emitting it",
-        },
     }
     commands = (
         ("verify", cmd_verify, "check commutation structure, eigentables, products", ""),
@@ -430,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, run, help_text, names in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        for argument in names.split() + ["--json", "--strict"]:
+        for argument in names.split() + ["--json"]:
             p.add_argument(argument, **arguments[argument])
     return parser
 
@@ -446,9 +438,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pmsquare: internal consistency error: {exc}", file=sys.stderr)
         return 1
 
-    if args.strict:
-        validate_envelope(report.to_document())
-    print(render_json(report) if args.json else render_text(report))
+    validate_envelope(report.to_document())
+    try:
+        print(render_json(report) if args.json else render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if report.passed:
         return 0
     return 3 if report.results.get("fine", {}).get("status") == "infeasible" else 1
