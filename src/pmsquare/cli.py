@@ -321,7 +321,7 @@ def cmd_model(args: argparse.Namespace) -> Report:
         "realization": args.index,
         "hidden_states": len(model.probabilities),
         "probability_sum": float(stats.probability_sum),
-        "statistics": vars(stats),
+        "statistics": stats._asdict(),
         "noncontextual": noncontextual,
         "witnesses": {
             "context_count": witnesses.context_count,

@@ -14,6 +14,6 @@ class InfeasibleModelError(ValueError):
     the CHSH report) in ``fine_result``.
     """
 
-    def __init__(self, message: str, fine_result=None):
+    def __init__(self, message: str, fine_result):
         super().__init__(message)
         self.fine_result = fine_result

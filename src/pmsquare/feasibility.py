@@ -15,6 +15,7 @@ multiplication, to the fixed ``TOLERANCE``, before they are returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class LinearSystem:
             object.__setattr__(self, name, array)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     status: str  # "feasible" | "infeasible"
     point: np.ndarray | None
     certificate: np.ndarray | None

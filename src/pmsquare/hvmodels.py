@@ -43,6 +43,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +135,7 @@ _GUIDE_BUCKETS = 4096
 _SAMPLE_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class CHReport:
+class CHReport(NamedTuple):
     """Fixed-setting CHSH evaluation for the z/x polarization correlators.
 
     ``chsh_values`` holds the four sign placements in the order: minus on
@@ -148,18 +148,16 @@ class CHReport:
     violated: bool
 
 
-@dataclass(frozen=True)
-class FineResult:
+class FineResult(NamedTuple):
     status: str  # "feasible" | "infeasible"
     joint: Mapping[tuple[int, int, int, int], float] | None
     certificate: np.ndarray | None
     ch: CHReport
     system: feasibility.LinearSystem
-    mixing: float = 0.0  # weight of the uniform joint in the solved system
+    mixing: float  # weight of the uniform joint in the solved system
 
 
-@dataclass(frozen=True)
-class HiddenState:
+class HiddenState(NamedTuple):
     """One row of an ``HVModel`` table, as ``HVModel.states`` presents it."""
 
     outcomes: Mapping[str, int]
@@ -362,11 +360,11 @@ def build_model1(state: np.ndarray) -> HVModel:
     return HVModel(1, ids, _outcome_table(1), probabilities)
 
 
-def build_model23(state: np.ndarray, realization_index: int = 3) -> HVModel:
+def build_model23(state: np.ndarray, realization_index: int) -> HVModel:
     """Joint-distribution model over six measurements (256 hidden states).
 
-    Built for realization 3; ``realization_index=2`` expresses the same
-    hidden states through the pair-measurement outcomes instead.  Raises
+    Built for realization 3 or 2; realization 2 reads the same hidden
+    states through the pair-measurement outcomes instead.  Raises
     InfeasibleModelError (carrying the CHSH report and certificate) when
     no joint one-wing distribution exists for the state.
     """
@@ -406,8 +404,7 @@ def _born_distributions(model: HVModel, state: np.ndarray) -> dict[str, dict[int
     return {m.id: dict(zip(m.outcomes, values)) for m in measurements}
 
 
-@dataclass(frozen=True)
-class StatisticsReport:
+class StatisticsReport(NamedTuple):
     """Model marginals against Born distributions, one deviation per check."""
 
     measurement_deviations: dict[str, float]
@@ -502,8 +499,7 @@ class WitnessBlock:
             array.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """The witness scan's findings, stored as index blocks over the model table.
 
     Each block lists the flagged rows of one scan step in scan order; the

@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -161,8 +161,7 @@ class PhysicalMeasurement:
         object.__setattr__(self, "projectors", stack)
 
 
-@dataclass(frozen=True)
-class DerivedMeasurement:
+class DerivedMeasurement(NamedTuple):
     id: str
     parent: str
     outcome_map: Mapping[int, int]
@@ -213,8 +212,7 @@ class ScanPlan:
                 value.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class RequirementReport:
+class RequirementReport(NamedTuple):
     unique_realization_ok: bool
     multiply_realized_cells: tuple[tuple[Cell, tuple[str, ...]], ...]
     simultaneity_ok: bool

@@ -1,9 +1,12 @@
 """Report envelope shared by the CLI commands, plus deterministic renderers.
 
 Every run produces one document ``{"command", "inputs", "results",
-"pass"}``.  The JSON renderer sorts keys at every level and prints floats
-with 17 significant digits, so identical runs emit byte-identical text;
-the schema lives in docs/report-schema.json.
+"pass"}`` of exact JSON types: ``dict`` with ``str`` keys, ``list``,
+``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``.  Both
+renderers raise ``TypeError`` on any other key or value, a numpy scalar or
+a subclass among them.  The JSON renderer sorts keys at every level and
+prints floats with 17 significant digits, so identical runs emit
+byte-identical text; the schema lives in docs/report-schema.json.
 
 Rendering makes one piece per dict entry and per list item, and joins a
 container that is a list item, such as a witness doc, into one piece, so it
@@ -14,15 +17,11 @@ in the text form, per line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
-
-import numpy as np
+from typing import Any, NamedTuple
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     inputs: dict[str, Any]
     results: dict[str, Any]
@@ -49,7 +48,7 @@ def _render(value: Any, pieces: list[str], prefix: str = "") -> None:
     if kind is dict:
         sep = prefix + "{"
         for key in sorted(value):
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"report keys must be strings, got {key!r}")
             item = value[key]
             kind = type(item)
@@ -75,25 +74,18 @@ def _render(value: Any, pieces: list[str], prefix: str = "") -> None:
                 pieces.append("".join(joined))
             sep = ","
         pieces.append("]" if sep == "," else sep + "]")
-    elif isinstance(value, str):
+    elif kind is str:
         pieces.append(prefix + _quote(value))
     elif kind is float:
         pieces.append(prefix + _format_float(value))
+    elif kind is bool:
+        pieces.append(prefix + ("true" if value else "false"))
+    elif kind is int:
+        pieces.append(f"{prefix}{value}")
     elif value is None:
         pieces.append(prefix + "null")
-    # subclasses and numpy scalars are rendered as the exact type they stand for
-    elif isinstance(value, dict):
-        _render(dict(value), pieces, prefix)
-    elif isinstance(value, (list, tuple)):
-        _render(list(value), pieces, prefix)
-    elif isinstance(value, (bool, np.bool_)):
-        pieces.append(prefix + ("true" if value else "false"))
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(f"{prefix}{int(value)}")
-    elif isinstance(value, (float, np.floating)):
-        _render(float(value), pieces, prefix)
     else:
-        raise TypeError(f"cannot render {type(value).__name__} in a report")
+        raise TypeError(f"cannot render {kind.__name__} in a report")
 
 
 def render_json(report: Report) -> str:
@@ -104,17 +96,19 @@ def render_json(report: Report) -> str:
 
 def _render_text(value: Any, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(value, dict):
+    if type(value) is dict:
         for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be strings, got {key!r}")
             item = value[key]
-            if isinstance(item, (dict, list, tuple)) and item:
+            if type(item) in (dict, list, tuple) and item:
                 lines.append(f"{pad}{key}:")
                 _render_text(item, indent + 1, lines)
             else:
                 lines.append(f"{pad}{key}: {_scalar_text(item)}")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):
         for item in value:
-            if isinstance(item, (dict, list, tuple)) and item:
+            if type(item) in (dict, list, tuple) and item:
                 joined = [f"{pad}-"]
                 _render_text(item, indent + 1, joined)
                 lines.append("\n".join(joined))
@@ -125,13 +119,12 @@ def _render_text(value: Any, indent: int, lines: list[str]) -> None:
 
 
 def _scalar_text(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, (dict, list, tuple)):
-        return "[]" if isinstance(value, (list, tuple)) else "{}"
-    return str(value)
+    """A scalar's or an empty container's text: its JSON text, but bare for a str or None."""
+    if type(value) is str or value is None:
+        return str(value)
+    pieces: list[str] = []
+    _render(value, pieces)
+    return "".join(pieces)
 
 
 def render_text(report: Report) -> str:

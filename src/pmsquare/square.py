@@ -22,7 +22,6 @@ establishes this by enumerating all 512 candidates, row-major 9-tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
@@ -149,8 +148,7 @@ for _vector in NAMED_STATES.values():
     _vector.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class EigenEntry:
+class EigenEntry(NamedTuple):
     label: str
     vector: np.ndarray
     values: tuple[int, int, int]

@@ -4,6 +4,7 @@ import io
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmsquare import cli, square
+from pmsquare import cli, hvmodels, square
 from pmsquare.cli import main, resolve_state
 from pmsquare.errors import InternalConsistencyError
 
@@ -324,6 +325,35 @@ def test_internal_consistency_error_is_one_line_not_a_traceback(monkeypatch, cap
     assert "Traceback" not in captured.err
 
 
+def test_a_failed_statistics_check_on_a_built_model_exits_1_not_3(monkeypatch, capsys):
+    # the model carries a feasible fine block, so only a refusal's status may give exit 3
+    reproduce = hvmodels.reproduce_statistics
+    monkeypatch.setattr(
+        hvmodels,
+        "reproduce_statistics",
+        lambda model, state: reproduce(model, state)._replace(passed=False),
+    )
+    code, document = run_json(capsys, "model", "2", "--state", "psi1")
+    assert code == 1
+    assert document["pass"] is False
+    assert document["results"]["fine"]["status"] == "feasible"
+
+
+def test_a_simultaneous_violation_fails_the_model_report(monkeypatch, capsys):
+    scan = hvmodels.violation_witnesses
+
+    def with_one_simultaneous_block(model, realization):
+        report = scan(model, realization)
+        return report._replace(simultaneous_blocks=report.context_blocks[:1])
+
+    monkeypatch.setattr(hvmodels, "violation_witnesses", with_one_simultaneous_block)
+    code, document = run_json(capsys, "model", "1", "--state", "psi1")
+    assert code == 1
+    assert document["pass"] is False
+    assert document["results"]["statistics"]["passed"] is True
+    assert document["results"]["witnesses"]["simultaneous_violation_count"] > 0
+
+
 @pytest.mark.parametrize("index", ["2", "3"])
 def test_model_in_the_chsh_slack_above_two_is_built(tmp_path, capsys, index):
     # |S| - 2 ~ 7e-10 is not a violation for the CHSH report, so the model
@@ -422,6 +452,16 @@ def test_state_file_requires_normalize_flag(tmp_path, capsys):
     assert "--normalize" in capsys.readouterr().err
     code = main(["ch", "--state", str(path), "--normalize"])
     assert code == 0
+
+
+def test_a_norm_off_by_5e_9_needs_the_normalize_flag(tmp_path, capsys):
+    # the accepted norm error is 1e-9
+    path = tmp_path / "state.json"
+    path.write_text('{"amplitudes": [[1.000000005, 0], [0, 0], [0, 0], [0, 0]]}', encoding="utf-8")
+    code = main(["ch", "--state", str(path)])
+    assert code == 2
+    assert "--normalize" in capsys.readouterr().err
+    assert main(["ch", "--state", str(path), "--normalize"]) == 0
 
 
 def test_unknown_state_is_a_usage_error(capsys):
@@ -672,6 +712,30 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
     process.stderr.close()
     assert process.wait() == 1
     assert stderr == b""
+
+
+class _PipeClosedOnFlush(io.StringIO):
+    """A stdout whose reader is gone by the time the report is flushed."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+def test_a_stdout_closed_before_the_flush_exits_1(tmp_path, monkeypatch):
+    # a short report fits in the buffer, so the closed pipe shows only at the flush
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _PipeClosedOnFlush(fd))
+        assert main(["contradiction"]) == 1
+    finally:
+        os.close(fd)
 
 
 # --- README ----------------------------------------------------------------------------------

@@ -344,25 +344,28 @@ def test_fine_feasibility_matches_chsh_bound_at_the_boundary():
 def test_fine_verdict_that_contradicts_the_chsh_report_is_an_internal_error(monkeypatch):
     report = ch_report(PSI1)
     monkeypatch.setattr(
-        hvmodels, "ch_report", lambda state: dataclasses.replace(report, violated=True)
+        hvmodels, "ch_report", lambda state: report._replace(violated=True)
     )
     with pytest.raises(InternalConsistencyError, match="feasible"):
         fine_joint(PSI1)
 
 
 @pytest.mark.parametrize(
-    "certificate", [lambda y: 0.5 * y, lambda y: np.full_like(y, np.nan)], ids=["scaled", "nan"]
+    "certificate",
+    [lambda y: 0.5 * y, lambda y: np.full_like(y, np.nan), lambda y: y + 1e-9 * np.eye(len(y))[0]],
+    ids=["scaled", "nan", "nudged"],
 )
 def test_a_certificate_that_is_not_the_chsh_inequality_is_an_internal_error(
     monkeypatch, certificate
 ):
     # a half-scaled certificate still proves infeasibility but decodes to
-    # y.b = 0.3125 (|S| - 2) and y.A in {0, -1.25}; NaN must not pass either
+    # y.b = 0.3125 (|S| - 2) and y.A in {0, -1.25}; NaN must not pass either, nor
+    # a nudge of 1e-9 along the normalization row, which moves y.b and all of y.A
     solve = feasibility.solve
 
     def tampered(system):
         result = solve(system)
-        return dataclasses.replace(result, certificate=certificate(result.certificate))
+        return result._replace(certificate=certificate(result.certificate))
 
     monkeypatch.setattr(feasibility, "solve", tampered)
     with pytest.raises(InternalConsistencyError, match="does not decode"):
@@ -583,7 +586,7 @@ def test_audit_rejects_an_outcome_map_missing_a_parent_outcome():
     realization = build_realization(1)
     derived = dict(realization.derived)
     shortened = {o: v for o, v in derived["f(B)"].outcome_map.items() if o != 4}
-    derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map=shortened)
+    derived["f(B)"] = derived["f(B)"]._replace(outcome_map=shortened)
     broken = dataclasses.replace(realization, derived=derived)
     assert audit_noncontextuality(build_model1(PSI1), realization)
     assert not audit_noncontextuality(build_model1(PSI1), broken)
@@ -711,7 +714,7 @@ def test_property_code_tally_matches_the_per_state_loop(rows):
     [(1, 0, -2), (1, 0, 5), (1, 2, -128), (1, 1, 127), (3, 0, 0), (3, 4, -1), (2, 5, 127)],
 )
 def test_witness_scan_rejects_outcomes_a_measurement_does_not_have(index, column, outcome):
-    model = {1: build_model1, 2: lambda s: build_model23(s, 2), 3: build_model23}[index](PSI1)
+    model = build_model1(PSI1) if index == 1 else build_model23(PSI1, index)
     outcomes = model.outcomes.copy()
     row = int(np.flatnonzero(model.probabilities > 1e-12)[-1])
     outcomes[row, column] = outcome
@@ -829,7 +832,7 @@ def test_witness_report_is_read_only():
     cached = build_realization(1)
     derived = dict(cached.derived)
     flipped = {o: -v for o, v in derived["f(B)"].outcome_map.items()}
-    derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map=flipped)
+    derived["f(B)"] = derived["f(B)"]._replace(outcome_map=flipped)
     broken = dataclasses.replace(cached, derived=derived)
     violations = violation_witnesses(build_model1(PSI1), broken).simultaneous_blocks
     assert violations
@@ -944,6 +947,19 @@ def test_sampling_fails_a_model_a_few_bounds_off():
     report = sample_model(mixed, PSI1, 10_000, seed=5)
     worst = max(ms.tv_distance for ms in report.measurements.values())
     assert report.tv_bound < worst < 10 * report.tv_bound
+    assert not report.passed
+
+
+def test_sampling_fails_a_model_one_and_a_half_bounds_off():
+    # weight 0.1 spread uniformly moves 0.075 of Lzz's mass off outcome 1:
+    # 1.5 bounds at 1e4 shots, inside twice the bound
+    model = build_model1(PSI1)
+    uniform = np.full(len(model.probabilities), 1.0 / len(model.probabilities))
+    weights = 0.9 * model.probabilities + 0.1 * uniform
+    mixed = HVModel(1, model.measurement_ids, model.outcomes, weights)
+    report = sample_model(mixed, PSI1, 10_000, seed=5)
+    worst = max(ms.tv_distance for ms in report.measurements.values())
+    assert report.tv_bound < worst < 2 * report.tv_bound
     assert not report.passed
 
 

@@ -469,7 +469,7 @@ def test_a_replaced_realization_gets_its_own_plan():
 def test_scan_plan_refuses_a_derived_value_other_than_plus_minus_one():
     cached = build_realization(1)
     derived = dict(cached.derived)
-    derived["f(B)"] = dataclasses.replace(derived["f(B)"], outcome_map={1: 2, 2: 1, 3: -1, 4: -1})
+    derived["f(B)"] = derived["f(B)"]._replace(outcome_map={1: 2, 2: 1, 3: -1, 4: -1})
     broken = dataclasses.replace(cached, derived=derived)
     with pytest.raises(InternalConsistencyError, match=r"f\(B\) is not \+/-1-valued"):
         broken.scan_plan
