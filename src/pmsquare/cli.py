@@ -16,18 +16,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-import numpy as np
-
-from . import hvmodels
 from .errors import InfeasibleModelError, InternalConsistencyError
-from .qm import ket
-from .realizations import build_realization, check_requirements
 from .reports import Report, render_json, render_text, validate_envelope
 from .square import (
     CONTEXTS,
-    NAMED_STATES,
     Context,
     checked_eigentable,
     commutation_relation,
@@ -37,6 +31,10 @@ from .square import (
     search_assignments,
     third_column_product_counts,
 )
+
+if TYPE_CHECKING:  # each command imports the numeric layers it runs, so these load on demand
+    import numpy as np
+    from . import hvmodels
 
 #: Expected requirement verdicts per realization: (unique ok, simultaneity ok).
 _EXPECTED_VERDICTS = {1: (True, False), 2: (False, True), 3: (False, False)}
@@ -55,8 +53,11 @@ def _is_number(value: object) -> bool:
 
 def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, dict[str, Any]]:
     """Resolve a named state or a state file into a ket plus an input echo."""
+    from .qm import ket
+    from .square import NAMED_STATES
     if spec == "chsh-max":
-        return hvmodels.chsh_max_state(), {"name": spec}
+        from .hvmodels import chsh_max_state
+        return chsh_max_state(), {"name": spec}
     if spec in NAMED_STATES:
         return NAMED_STATES[spec].copy(), {"name": spec}
     try:
@@ -183,6 +184,7 @@ def _model_or_refusal(
     The refusal report holds the error, the Fine block with its certificate
     and the CHSH block; its Fine status "infeasible" makes the exit code 3.
     """
+    from . import hvmodels
     try:
         if args.index == 1:
             return hvmodels.build_model1(state)
@@ -267,6 +269,7 @@ def cmd_contradiction(args: argparse.Namespace) -> Report:
 
 
 def cmd_realization(args: argparse.Namespace) -> Report:
+    from .realizations import build_realization, check_requirements
     realization = build_realization(args.index)
     report = check_requirements(realization)
     expected_unique, expected_simultaneous = _EXPECTED_VERDICTS[args.index]
@@ -309,6 +312,8 @@ def cmd_model(args: argparse.Namespace) -> Report:
     model = _model_or_refusal(args, state, inputs)
     if isinstance(model, Report):
         return model
+    from . import hvmodels
+    from .realizations import build_realization
     realization = build_realization(args.index)
     stats = hvmodels.reproduce_statistics(model, state)
     noncontextual = hvmodels.audit_noncontextuality(model, realization)
@@ -351,6 +356,7 @@ def cmd_sample(args: argparse.Namespace) -> Report:
     model = _model_or_refusal(args, state, inputs)
     if isinstance(model, Report):
         return model
+    from . import hvmodels
     sample = hvmodels.sample_model(model, state, args.shots, args.seed)
     results = {
         "realization": args.index,
@@ -372,6 +378,7 @@ def cmd_sample(args: argparse.Namespace) -> Report:
 
 
 def cmd_ch(args: argparse.Namespace) -> Report:
+    from . import hvmodels
     state, echo = resolve_state(args.state, normalize=args.normalize)
     report = hvmodels.ch_report(state)
     return Report("ch", {"state": echo}, _ch_doc(report), True)
@@ -444,7 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; devnull keeps the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     if report.passed:
         return 0

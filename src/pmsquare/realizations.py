@@ -37,23 +37,19 @@ realizers.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
-from .qm import IDENTITY4, VERIFY_ATOL, projector, side_projector
 from .square import (
-    CONTEXTS,
-    Cell,
-    Context,
-    admissible_triples,
-    context_cells,
-    eigentable,
+    CONTEXTS, Cell, Context, admissible_triples, context_cells, eigentable, value_triples
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Context whose eigenbasis each four-outcome measurement projects onto.
 MEASUREMENT_CONTEXTS = MappingProxyType(
@@ -149,16 +145,29 @@ _CELL_MAPS = {
 
 @dataclass(frozen=True)
 class PhysicalMeasurement:
-    """``projectors`` is a read-only (k, 4, 4) copy; ``projectors[i]`` is ``outcomes[i]``'s."""
+    """``projectors[i]`` is ``outcomes[i]``'s: a read-only (k, 4, 4) copy of ``matrices``, or
+    with none the measurement's own by its id, built and checked on first use."""
 
     id: str
     outcomes: tuple[int, ...]
-    projectors: np.ndarray  # complex[outcomes, 4, 4]
+    matrices: Sequence[np.ndarray] | None = None
 
-    def __post_init__(self) -> None:
-        stack = np.array(self.projectors, dtype=complex)
-        stack.setflags(write=False)
-        object.__setattr__(self, "projectors", stack)
+    @cached_property
+    def projectors(self) -> np.ndarray:  # complex[outcomes, 4, 4]
+        import numpy as np
+        from .qm import projector, side_projector
+        if self.matrices is not None:
+            stack = np.array(self.matrices, dtype=complex)
+            stack.setflags(write=False)
+            return stack
+        if self.id in SIDE_SPEC:  # a one-wing measurement, outcomes +/-1
+            axis, side = SIDE_SPEC[self.id]
+            matrices = [side_projector(axis, +1, side), side_projector(axis, -1, side)]
+        else:  # a context's eigenbasis measurement, outcomes 1..4
+            matrices = [projector(e.vector) for e in eigentable(MEASUREMENT_CONTEXTS[self.id])]
+        own = PhysicalMeasurement(self.id, self.outcomes, matrices)
+        _verify_resolution(own)
+        return own.projectors
 
 
 class DerivedMeasurement(NamedTuple):
@@ -207,6 +216,7 @@ class ScanPlan:
     cell_pairs: tuple[tuple[Cell, int, int], ...]  # (cell, class a, class b)
 
     def __post_init__(self) -> None:
+        import numpy as np
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -221,6 +231,8 @@ class RequirementReport(NamedTuple):
 
 def _verify_resolution(measurement: PhysicalMeasurement) -> None:
     # projectors must be mutually orthogonal and sum to the identity
+    import numpy as np
+    from .qm import IDENTITY4, VERIFY_ATOL
     p = measurement.projectors
     overlaps = np.max(np.abs(p[:, np.newaxis] @ p), axis=(2, 3))  # [k, k]: |p_i p_j|
     if not np.all(overlaps[~np.eye(len(p), dtype=bool)] <= VERIFY_ATOL):
@@ -229,29 +241,15 @@ def _verify_resolution(measurement: PhysicalMeasurement) -> None:
         raise InternalConsistencyError(f"{measurement.id}: projectors do not sum to identity")
 
 
-def _physical(meas_id: str) -> PhysicalMeasurement:
-    """A one-wing measurement (outcomes +/-1) or a context's eigenbasis measurement (1..4)."""
-    if meas_id in SIDE_SPEC:
-        axis, side = SIDE_SPEC[meas_id]
-        outcomes = (1, -1)
-        projectors = [side_projector(axis, +1, side), side_projector(axis, -1, side)]
-    else:
-        outcomes = (1, 2, 3, 4)
-        projectors = [projector(e.vector) for e in eigentable(MEASUREMENT_CONTEXTS[meas_id])]
-    measurement = PhysicalMeasurement(meas_id, outcomes, projectors)
-    _verify_resolution(measurement)
-    return measurement
-
-
 def _derived(derived_id: str) -> DerivedMeasurement:
-    """A one-wing id, or ``fn(parent)`` read through the parent's eigentable."""
+    """A one-wing id, or ``fn(parent)`` read through the value triples of the parent's context."""
     if derived_id in SIDE_SPEC:
         # a one-wing measurement is its own +/-1 readout
         return DerivedMeasurement(derived_id, derived_id, MappingProxyType({1: 1, -1: -1}))
     function, parent = derived_id.removesuffix(")").split("(")
     pos = _READOUTS[parent].index(function)
-    entries = eigentable(MEASUREMENT_CONTEXTS[parent])
-    outcome_map = {o: entries[o - 1].values[pos] for o in (1, 2, 3, 4)}
+    triples = value_triples(MEASUREMENT_CONTEXTS[parent])
+    outcome_map = {o: triples[o - 1][pos] for o in (1, 2, 3, 4)}
     return DerivedMeasurement(derived_id, parent, MappingProxyType(outcome_map))
 
 
@@ -262,8 +260,11 @@ def build_realization(index: int) -> Realization:
         raise ValueError(f"realization index must be 1, 2 or 3, got {index!r}")
     cell_map = _CELL_MAPS[index]
     derived = {did: _derived(did) for ids in cell_map.values() for did in ids}
-    # each parent once, in cell-map order
-    physicals = {mid: _physical(mid) for mid in dict.fromkeys(d.parent for d in derived.values())}
+    # each parent once, in cell-map order; its projectors are built on first use
+    physicals = {
+        mid: PhysicalMeasurement(mid, (1, -1) if mid in SIDE_SPEC else (1, 2, 3, 4))
+        for mid in dict.fromkeys(d.parent for d in derived.values())
+    }
     # l(P) and r(P) read the wings PAIR_WINGS[P]; readouts of one wing by different
     # pair measurements do the same thing there, so they count as the same measurement
     wings: dict[str, list[str]] = {}
@@ -317,10 +318,12 @@ def classes_compatible(
 
 def _slots(outcomes: Iterable[int]) -> np.ndarray:
     """The table slots of int8 outcomes: their bit patterns read as uint8."""
+    import numpy as np
     return np.array(list(outcomes), dtype=np.int8).view(np.uint8)
 
 
 def _scan_plan(realization: Realization) -> ScanPlan:
+    import numpy as np
     parents = tuple(realization.physicals)
     cells = {cell: cell_classes(realization, cell) for cell in realization.cell_map}
     classes = list(dict.fromkeys(itertools.chain.from_iterable(cells.values())))
@@ -407,13 +410,13 @@ def check_requirements(realization: Realization) -> RequirementReport:
 
 def _is_integer(value: object) -> bool:
     """Whether value is an int or a NumPy integer; bools and floats are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=None)
 def _wing_values(pair_id: str, outcome: int) -> tuple[int, int]:
     """The (left, right) wing values a pair polarization outcome 1..4 implies."""
-    values = eigentable(MEASUREMENT_CONTEXTS[pair_id])[outcome - 1].values
+    values = value_triples(MEASUREMENT_CONTEXTS[pair_id])[outcome - 1]
     readouts = _READOUTS[pair_id]
     return values[readouts.index("l")], values[readouts.index("r")]
 

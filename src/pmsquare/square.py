@@ -12,7 +12,8 @@ and the first two columns multiply to +identity; the third column
 multiplies to -identity.  Each context (row or column) carries a table of
 four common eigenvectors with their eigenvalue triples, the four
 ``EigenEntry`` records ``eigentable(context)`` returns; the tables are
-transcribed below and re-verified against the operators on first use.
+transcribed below as ket patterns, built and verified against the operators
+on first use, so importing this module loads no numpy.
 
 No +/-1 assignment to the nine cells can agree with some admissible
 eigenvalue triple in all six contexts at once; ``search_assignments``
@@ -24,12 +25,12 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InternalConsistencyError
-from .qm import VERIFY_ATOL, IDENTITY4, apply, commutator, inner, pauli_tensor, product_ket
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Cell = tuple[int, int]
 
@@ -81,6 +82,7 @@ GRID = (
 
 def cell_operator(cell: Cell) -> np.ndarray:
     """The 4x4 operator of a cell of ``GRID``."""
+    from .qm import pauli_tensor
     return pauli_tensor(*GRID[cell[0]][cell[1]])
 
 
@@ -93,59 +95,49 @@ def cell_operator(cell: Cell) -> np.ndarray:
 _PLUS_TRIPLES = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 _MINUS_TRIPLES = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
 
-_SQRT2 = np.sqrt(2.0)
-
-
-def _bell(pattern_a: str, pattern_b: str, sign: int) -> np.ndarray:
-    return (product_ket(pattern_a) + sign * product_ket(pattern_b)) / _SQRT2
-
-
-_TABLE_STATES: dict[Context, tuple[tuple[str, np.ndarray], ...]] = {
-    Context("row", 0): (
-        ("psi1", product_ket("00")),
-        ("psi2", product_ket("01")),
-        ("psi3", product_ket("10")),
-        ("psi4", product_ket("11")),
-    ),
-    Context("row", 1): (
-        ("psiP1", product_ket("++")),
-        ("psiP2", product_ket("-+")),
-        ("psiP3", product_ket("+-")),
-        ("psiP4", product_ket("--")),
-    ),
+#: Each context's four table states, in the order of its value triples: a
+#: label and a product pattern over {0, 1, +, -}, or (a, b, sign) for the
+#: state (|a> + sign |b>) / sqrt(2).
+_TABLE_KETS = {
+    Context("row", 0): (("psi1", "00"), ("psi2", "01"), ("psi3", "10"), ("psi4", "11")),
+    Context("row", 1): (("psiP1", "++"), ("psiP2", "-+"), ("psiP3", "+-"), ("psiP4", "--")),
     Context("row", 2): (
-        ("psiPP1", _bell("0+", "1-", +1)),
-        ("psiPP2", _bell("0+", "1-", -1)),
-        ("psiPP3", _bell("1+", "0-", +1)),
-        ("psiPP4", _bell("1+", "0-", -1)),
+        ("psiPP1", ("0+", "1-", +1)), ("psiPP2", ("0+", "1-", -1)),
+        ("psiPP3", ("1+", "0-", +1)), ("psiPP4", ("1+", "0-", -1)),
     ),
-    Context("column", 0): (
-        ("phi1", product_ket("0+")),
-        ("phi2", product_ket("0-")),
-        ("phi3", product_ket("1+")),
-        ("phi4", product_ket("1-")),
-    ),
-    Context("column", 1): (
-        ("phiP1", product_ket("+0")),
-        ("phiP2", product_ket("-0")),
-        ("phiP3", product_ket("+1")),
-        ("phiP4", product_ket("-1")),
-    ),
+    Context("column", 0): (("phi1", "0+"), ("phi2", "0-"), ("phi3", "1+"), ("phi4", "1-")),
+    Context("column", 1): (("phiP1", "+0"), ("phiP2", "-0"), ("phiP3", "+1"), ("phiP4", "-1")),
     Context("column", 2): (
-        ("phiPP1", _bell("00", "11", +1)),
-        ("phiPP2", _bell("00", "11", -1)),
-        ("phiPP3", _bell("01", "10", +1)),
-        ("phiPP4", _bell("01", "10", -1)),
+        ("phiPP1", ("00", "11", +1)), ("phiPP2", ("00", "11", -1)),
+        ("phiPP3", ("01", "10", +1)), ("phiPP4", ("01", "10", -1)),
     ),
 }
 
-#: Every table state by label; doubles as the CLI's named-state catalogue.
-#: The eigentables share these vectors, so they are made read-only.
-NAMED_STATES = MappingProxyType(
-    {label: vector for entries in _TABLE_STATES.values() for label, vector in entries}
-)
-for _vector in NAMED_STATES.values():
-    _vector.setflags(write=False)
+
+@lru_cache(maxsize=None)
+def _table_states() -> dict[Context, tuple[tuple[str, np.ndarray], ...]]:
+    """``_TABLE_KETS`` as read-only vectors, which the eigentables and NAMED_STATES share."""
+    import numpy as np
+    from .qm import product_ket
+
+    def vector(spec: str | tuple[str, str, int]) -> np.ndarray:
+        if isinstance(spec, str):
+            v = product_ket(spec)
+        else:
+            v = (product_ket(spec[0]) + spec[2] * product_ket(spec[1])) / np.sqrt(2.0)
+        v.setflags(write=False)
+        return v
+
+    return {c: tuple((label, vector(s)) for label, s in kets) for c, kets in _TABLE_KETS.items()}
+
+
+def __getattr__(name: str) -> object:
+    """``NAMED_STATES``, every table state by label (the CLI's catalogue), built on first use."""
+    if name != "NAMED_STATES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global NAMED_STATES
+    NAMED_STATES = MappingProxyType({k: v for kets in _table_states().values() for k, v in kets})
+    return NAMED_STATES
 
 
 class EigenEntry(NamedTuple):
@@ -168,6 +160,8 @@ def verify_eigentable(context: Context, entries: tuple[EigenEntry, ...]) -> tupl
     InternalConsistencyError on any failure; a failure means the
     transcribed table data does not match the operators.
     """
+    import numpy as np
+    from .qm import VERIFY_ATOL, apply, inner
     ops = [cell_operator(cell) for cell in context_cells(context)]
     if len(entries) != 4:
         raise InternalConsistencyError(f"{context.name}: expected 4 entries")
@@ -196,12 +190,9 @@ def verify_eigentable(context: Context, entries: tuple[EigenEntry, ...]) -> tupl
 @lru_cache(maxsize=None)
 def checked_eigentable(context: Context) -> tuple[tuple[EigenEntry, ...], tuple[float, float]]:
     """A context's four entries with the residuals ``verify_eigentable`` found for them."""
-    if context not in _TABLE_STATES:
-        raise ValueError(f"unknown context {context!r}")
-    triples = _MINUS_TRIPLES if expected_context_sign(context) < 0 else _PLUS_TRIPLES
     entries = tuple(
         EigenEntry(label, vector, values)
-        for (label, vector), values in zip(_TABLE_STATES[context], triples)
+        for values, (label, vector) in zip(value_triples(context), _table_states()[context])
     )
     return entries, verify_eigentable(context, entries)
 
@@ -211,10 +202,17 @@ def eigentable(context: Context) -> tuple[EigenEntry, ...]:
     return checked_eigentable(context)[0]
 
 
+def value_triples(context: Context) -> tuple[tuple[int, int, int], ...]:
+    """A context's four value triples in table order, the values ``checked_eigentable`` verifies."""
+    if context not in CONTEXTS:
+        raise ValueError(f"unknown context {context!r}")
+    return _MINUS_TRIPLES if expected_context_sign(context) < 0 else _PLUS_TRIPLES
+
+
 @lru_cache(maxsize=None)
 def admissible_triples(context: Context) -> frozenset[tuple[int, int, int]]:
     """The four value triples a simultaneous measurement of the context can yield."""
-    return frozenset(entry.values for entry in eigentable(context))
+    return frozenset(value_triples(context))
 
 
 # --- structural checks ----------------------------------------------------
@@ -226,6 +224,8 @@ def commutation_relation() -> dict[tuple[Cell, Cell], bool]:
     The computed classification is asserted against the same-row-or-column
     predicate; a mismatch raises InternalConsistencyError.
     """
+    import numpy as np
+    from .qm import VERIFY_ATOL, commutator
     result: dict[tuple[Cell, Cell], bool] = {}
     for i, c1 in enumerate(CELLS):
         for c2 in CELLS[i + 1 :]:
@@ -243,6 +243,8 @@ def commutation_relation() -> dict[tuple[Cell, Cell], bool]:
 
 def context_operator_product(context: Context) -> int:
     """Sign s such that the ordered product of the context operators is s*identity."""
+    import numpy as np
+    from .qm import IDENTITY4, VERIFY_ATOL
     a, b, c = (cell_operator(cell) for cell in context_cells(context))
     prod = a @ b @ c
     for sign in (+1, -1):

@@ -21,6 +21,8 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pmsquare"
 
@@ -172,3 +174,46 @@ def test_importing_the_package_loads_no_module_of_it():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def _loaded_by(*argv: str) -> tuple[int | None, set[str]]:
+    """Exit code of ``cli.main(argv)`` in a fresh process (None for a bare import), and
+    the modules of the package and numpy it leaves in ``sys.modules``."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from pmsquare import cli\n"
+        "code = None\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(sys.argv[1:])\n"
+        "loaded = sorted(n for n in sys.modules if n.startswith('pmsquare.') or n == 'numpy')\n"
+        "print(code, *loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, *loaded = result.stdout.split()
+    return (None if code == "None" else int(code)), set(loaded)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    loaded = {"pmsquare.cli", "pmsquare.errors", "pmsquare.reports", "pmsquare.square"}
+    assert _loaded_by() == (None, loaded)
+
+
+@pytest.mark.parametrize(
+    "line", ["contradiction", "contradiction --constraints r0,r1,r2", "realization 2"]
+)
+def test_the_combinatorial_commands_load_no_numeric_layer(line):
+    # value triples and cell maps are all they need; verify checks the tables they stand for
+    code, loaded = _loaded_by(*line.split())
+    assert code == 0
+    assert not loaded & {"numpy", "pmsquare.qm", "pmsquare.hvmodels", "pmsquare.feasibility"}
+
+
+def test_verify_loads_no_model_layer():
+    code, loaded = _loaded_by("verify")
+    assert code == 0
+    assert "pmsquare.qm" in loaded
+    assert not loaded & {"pmsquare.hvmodels", "pmsquare.feasibility", "pmsquare.realizations"}

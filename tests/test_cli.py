@@ -464,6 +464,41 @@ def test_a_norm_off_by_5e_9_needs_the_normalize_flag(tmp_path, capsys):
     assert main(["ch", "--state", str(path), "--normalize"]) == 0
 
 
+_KNOWN_NAMES = (
+    "known names: chsh-max, phi1, phi2, phi3, phi4, phiP1, phiP2, phiP3, phiP4, phiPP1, phiPP2, "
+    "phiPP3, phiPP4, psi1, psi2, psi3, psi4, psiP1, psiP2, psiP3, psiP4, psiPP1, psiPP2, psiPP3, "
+    "psiPP4"
+)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            "ch --state nope",
+            f"'nope' is neither a known state name nor an existing file; {_KNOWN_NAMES}",
+        ),
+        ("ch --state named.json", "state file 'named.json': 'nope' is not a known state name"),
+        (
+            "ch --state missing.json",
+            f"'missing.json' is neither a known state name nor an existing file; {_KNOWN_NAMES}",
+        ),
+        ("contradiction --constraints ,", "--constraints must name at least one context"),
+        ("contradiction --constraints x1", "unknown context name 'x1'"),
+    ],
+)
+def test_state_and_constraint_errors_are_one_exact_line(
+    tmp_path, monkeypatch, capsys, line, message
+):
+    # the named-state catalogue is built on first use; its error lines stay as they were
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "named.json").write_text('{"name": "nope"}', encoding="utf-8")
+    assert main(line.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pmsquare: {message}\n"
+
+
 def test_unknown_state_is_a_usage_error(capsys):
     code = main(["ch", "--state", "not-a-state"])
     assert code == 2
@@ -734,6 +769,19 @@ def test_a_stdout_closed_before_the_flush_exits_1(tmp_path, monkeypatch):
     try:
         monkeypatch.setattr(sys, "stdout", _PipeClosedOnFlush(fd))
         assert main(["contradiction"]) == 1
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_exits_leave_no_descriptor_open(tmp_path, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _PipeClosedOnFlush(fd))
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            assert main(["contradiction"]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
     finally:
         os.close(fd)
 

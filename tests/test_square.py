@@ -14,6 +14,7 @@ from pmsquare.square import (
     EigenEntry,
     admissible_triples,
     cell_operator,
+    checked_eigentable,
     commutation_relation,
     context_cells,
     context_from_name,
@@ -22,6 +23,7 @@ from pmsquare.square import (
     expected_context_sign,
     search_assignments,
     third_column_product_counts,
+    value_triples,
     verify_eigentable,
 )
 
@@ -117,6 +119,16 @@ def test_admissible_triples_are_exactly_the_sign_patterns():
         }
         assert admissible_triples(context) == by_product
         assert len(admissible_triples(context)) == 4
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
+def test_the_value_triples_are_the_verified_eigentable_values(context):
+    # contradiction and realization read the triple constants and never the
+    # vectors, so the constants must be what the eigen relations verify
+    entries, _ = checked_eigentable(context)
+    verify_eigentable(context, entries)  # again, whatever the cache holds
+    assert value_triples(context) == tuple(entry.values for entry in entries)
+    assert admissible_triples(context) == frozenset(entry.values for entry in entries)
 
 
 def test_verify_eigentable_rejects_corrupt_values():
