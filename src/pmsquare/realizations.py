@@ -41,7 +41,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InternalConsistencyError
 from .square import (
@@ -145,29 +145,25 @@ _CELL_MAPS = {
 
 @dataclass(frozen=True)
 class PhysicalMeasurement:
-    """``projectors[i]`` is ``outcomes[i]``'s: a read-only (k, 4, 4) copy of ``matrices``, or
-    with none the measurement's own by its id, built and checked on first use."""
+    """``projectors[i]`` is ``outcomes[i]``'s: one read-only (k, 4, 4) stack, built from
+    the id and checked by ``_verify_resolution`` on first use."""
 
     id: str
     outcomes: tuple[int, ...]
-    matrices: Sequence[np.ndarray] | None = None
 
     @cached_property
     def projectors(self) -> np.ndarray:  # complex[outcomes, 4, 4]
         import numpy as np
         from .qm import projector, side_projector
-        if self.matrices is not None:
-            stack = np.array(self.matrices, dtype=complex)
-            stack.setflags(write=False)
-            return stack
         if self.id in SIDE_SPEC:  # a one-wing measurement, outcomes +/-1
             axis, side = SIDE_SPEC[self.id]
             matrices = [side_projector(axis, +1, side), side_projector(axis, -1, side)]
         else:  # a context's eigenbasis measurement, outcomes 1..4
             matrices = [projector(e.vector) for e in eigentable(MEASUREMENT_CONTEXTS[self.id])]
-        own = PhysicalMeasurement(self.id, self.outcomes, matrices)
-        _verify_resolution(own)
-        return own.projectors
+        stack = np.array(matrices, dtype=complex)
+        stack.setflags(write=False)
+        _verify_resolution(self.id, stack)
+        return stack
 
 
 class DerivedMeasurement(NamedTuple):
@@ -229,16 +225,15 @@ class RequirementReport(NamedTuple):
     broken_contexts: tuple[tuple[Context, tuple[str, str]], ...]
 
 
-def _verify_resolution(measurement: PhysicalMeasurement) -> None:
-    # projectors must be mutually orthogonal and sum to the identity
+def _verify_resolution(measurement_id: str, p: np.ndarray) -> None:
+    # the (k, 4, 4) projectors must be mutually orthogonal and sum to the identity
     import numpy as np
     from .qm import IDENTITY4, VERIFY_ATOL
-    p = measurement.projectors
     overlaps = np.max(np.abs(p[:, np.newaxis] @ p), axis=(2, 3))  # [k, k]: |p_i p_j|
     if not np.all(overlaps[~np.eye(len(p), dtype=bool)] <= VERIFY_ATOL):
-        raise InternalConsistencyError(f"{measurement.id}: outcome projectors are not orthogonal")
+        raise InternalConsistencyError(f"{measurement_id}: outcome projectors are not orthogonal")
     if not np.max(np.abs(p.sum(axis=0) - IDENTITY4)) <= VERIFY_ATOL:
-        raise InternalConsistencyError(f"{measurement.id}: projectors do not sum to identity")
+        raise InternalConsistencyError(f"{measurement_id}: projectors do not sum to identity")
 
 
 def _derived(derived_id: str) -> DerivedMeasurement:

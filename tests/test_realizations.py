@@ -13,7 +13,6 @@ from pmsquare.realizations import (
     SIDE_IDS,
     SIDE_SPEC,
     WING_VALUES,
-    PhysicalMeasurement,
     _verify_resolution,
     _wing_values,
     build_realization,
@@ -72,11 +71,6 @@ def test_physical_projectors_are_read_only():
             for p in stack:
                 with pytest.raises(ValueError):
                     p[0, 0] = 0.0
-    # a hand-built measurement stacks a copy of the caller's matrices
-    matrices = [projector(product_ket(p)) for p in ("00", "01", "10", "11")]
-    measurement = PhysicalMeasurement("hand", (1, 2, 3, 4), matrices)
-    assert not measurement.projectors.flags.writeable
-    assert not any(np.shares_memory(measurement.projectors, m) for m in matrices)
 
 
 def test_realization2_cell_map_and_identifications():
@@ -151,16 +145,14 @@ def test_physical_projectors_resolve_identity():
 def test_verify_resolution_rejects_a_non_orthogonal_pair():
     # |10> and |1+> overlap; the orthogonality check must name it, not the sum
     kets = [product_ket(p) for p in ("00", "01", "10", "1+")]
-    measurement = PhysicalMeasurement("bad", (1, 2, 3, 4), tuple(map(projector, kets)))
     with pytest.raises(InternalConsistencyError, match="not orthogonal"):
-        _verify_resolution(measurement)
+        _verify_resolution("bad", np.array([projector(k) for k in kets]))
 
 
 def test_verify_resolution_rejects_an_incomplete_set():
     kets = [product_ket(p) for p in ("00", "01", "10")]
-    measurement = PhysicalMeasurement("bad", (1, 2, 3), tuple(map(projector, kets)))
     with pytest.raises(InternalConsistencyError, match="do not sum to identity"):
-        _verify_resolution(measurement)
+        _verify_resolution("bad", np.array([projector(k) for k in kets]))
 
 
 @pytest.mark.parametrize(
@@ -169,9 +161,8 @@ def test_verify_resolution_rejects_an_incomplete_set():
 def test_verify_resolution_refuses_nan_projectors(count, message):
     # one projector has no pair to overlap, so only the sum check sees its NaN
     projectors = np.full((count, 4, 4), np.nan, complex)
-    measurement = PhysicalMeasurement("nan", tuple(range(1, count + 1)), projectors)
     with pytest.raises(InternalConsistencyError, match=message):
-        _verify_resolution(measurement)
+        _verify_resolution("nan", projectors)
 
 
 # --- derived outcomes --------------------------------------------------------

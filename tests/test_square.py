@@ -14,7 +14,6 @@ from pmsquare.square import (
     EigenEntry,
     admissible_triples,
     cell_operator,
-    checked_eigentable,
     commutation_relation,
     context_cells,
     context_from_name,
@@ -122,13 +121,18 @@ def test_admissible_triples_are_exactly_the_sign_patterns():
 
 
 @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
-def test_the_value_triples_are_the_verified_eigentable_values(context):
+def test_the_value_triples_are_the_eigenvalues_of_the_table_states(context):
     # contradiction and realization read the triple constants and never the
-    # vectors, so the constants must be what the eigen relations verify
-    entries, _ = checked_eigentable(context)
-    verify_eigentable(context, entries)  # again, whatever the cache holds
-    assert value_triples(context) == tuple(entry.values for entry in entries)
-    assert admissible_triples(context) == frozenset(entry.values for entry in entries)
+    # vectors, so the constants must be the eigenvalues the table states carry
+    ops = [cell_operator(cell) for cell in context_cells(context)]
+    carried = []
+    for _, v in square._table_states()[context]:
+        values = tuple(int(np.rint(np.vdot(v, op @ v).real)) for op in ops)
+        for op, value in zip(ops, values):
+            assert np.max(np.abs(op @ v - value * v)) <= 1e-12
+        carried.append(values)
+    assert value_triples(context) == tuple(carried)
+    assert admissible_triples(context) == frozenset(carried)
 
 
 def test_verify_eigentable_rejects_corrupt_values():
