@@ -28,6 +28,7 @@ from .square import (
     context_from_name,
     context_operator_product,
     eigentable,
+    expected_context_sign,
     search_assignments,
     third_column_product_counts,
 )
@@ -79,7 +80,9 @@ def resolve_state(spec: str, *, normalize: bool = False) -> tuple[np.ndarray, di
     if "name" in document and "amplitudes" in document:
         raise UsageError(f"state file {spec!r} must hold 'name' or 'amplitudes', not both")
     if "name" in document:
-        name = str(document["name"])
+        name = document["name"]
+        if not isinstance(name, str):
+            raise UsageError(f"state file {spec!r}: 'name' must be a JSON string")
         if name != "chsh-max" and name not in NAMED_STATES:
             raise UsageError(f"state file {spec!r}: {name!r} is not a known state name")
         return resolve_state(name, normalize=normalize)
@@ -260,7 +263,7 @@ def cmd_contradiction(args: argparse.Namespace) -> Report:
         results["parity"] = {
             "without_col2_count": len(relaxed),
             "third_column_products": {f"{sign:+d}": n for sign, n in counts.items()},
-            "required_by_col2": -1,
+            "required_by_col2": expected_context_sign(col2),
         }
         passed = len(survivors) == 0
     else:

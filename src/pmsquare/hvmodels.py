@@ -22,17 +22,18 @@ states through the outcome translation.
 
 ``violation_witnesses`` exhibits how the models escape the square's no-go
 argument: hidden states whose value triple in a *non-simultaneous*
-context falls outside the admissible eigenvalue triples, and hidden
-states where two different realizers of one cell disagree.  Inside every
-simultaneously measurable context the induced triples are always
-admissible, which the same scan asserts.  What the scan needs of the
+context does not multiply to the context's operator-product sign, and
+hidden states where two different realizers of one cell disagree.  Inside
+every simultaneously measurable context the induced triples always have
+that product, which the same scan asserts.  What the scan needs of the
 realization (identification classes, outcome lookups, class choices and
-admissibility tables) is a read-only ``Realization.scan_plan``, built once
-per realization, so each scan is array gathers and table lookups.  Its
-``WitnessReport`` keeps each step's flagged hidden states as a
+each choice's required sign) is a read-only ``Realization.scan_plan``,
+built once per realization, so each scan is array gathers and products.
+Its ``WitnessReport`` keeps each step's flagged hidden states as a
 ``WitnessBlock`` of read-only row indices and values over the model
 table, plus exact counts.  Marginals, pair joints and sampled shot counts
-are all totalled by one slot pass over the outcome table.
+are all totalled by one slot pass over the outcome table; every outcome
+table, these and the scan plan's, puts outcome o in slot ``o + 128``.
 """
 
 from __future__ import annotations
@@ -471,7 +472,7 @@ def audit_noncontextuality(model: HVModel, realization: Realization) -> bool:
         return False
     plan = realization.scan_plan
     codes = model.outcomes[:, [model.measurement_ids.index(mid) for mid in plan.parents]]
-    if not plan.valid[np.arange(len(plan.parents)), codes.view(np.uint8)].all():
+    if not plan.valid[np.arange(len(plan.parents)), codes.astype(np.intp) + 128].all():
         return False
     for derived in realization.derived.values():
         parent = realization.physicals.get(derived.parent)
@@ -529,10 +530,10 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
 
     For every context and every choice of one realizer class per cell:
     if the choice is simultaneously measurable its induced triples must
-    be admissible (violations are collected separately and signal a bug);
-    otherwise inadmissible triples are reported as witnesses.  Cells with
-    several realizer classes are additionally scanned for states where
-    the classes disagree.
+    multiply to the context's sign (violations are collected separately
+    and signal a bug); otherwise triples of the other product are reported
+    as witnesses.  Cells with several realizer classes are additionally
+    scanned for states where the classes disagree.
     """
     if model.realization_index != realization.index:
         raise ValueError("model and realization indices do not match")
@@ -540,7 +541,7 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
     positive = np.flatnonzero(model.probabilities > POSITIVE_PROBABILITY)
     columns = [model.measurement_ids.index(mid) for mid in plan.parents]
     rows = model.outcomes[positive][:, columns]
-    codes = rows.view(np.uint8)  # [states, parents]
+    codes = rows.astype(np.intp) + 128  # [states, parents]
     valid = plan.valid[np.arange(len(columns)), codes]
     if not valid.all():
         state, parent = np.argwhere(~valid)[0]
@@ -556,9 +557,7 @@ def violation_witnesses(model: HVModel, realization: Realization) -> WitnessRepo
         raise InternalConsistencyError(f"identified measurements {cls} disagree in a hidden state")
 
     triples = responses[:, plan.choices]  # [states, choices, 3]
-    inadmissible = ~plan.admissible[
-        plan.choice_contexts, triples[..., 0], triples[..., 1], triples[..., 2]
-    ]
+    inadmissible = triples[..., 0] * triples[..., 1] * triples[..., 2] != plan.choice_signs
     context_blocks: list[WitnessBlock] = []
     simultaneous_blocks: list[WitnessBlock] = []
     for choice in np.flatnonzero(inadmissible.any(axis=0)):

@@ -41,11 +41,11 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import InternalConsistencyError
 from .square import (
-    CONTEXTS, Cell, Context, admissible_triples, context_cells, eigentable, value_triples
+    CONTEXTS, Cell, Context, context_cells, eigentable, expected_context_sign, value_triples
 )
 
 if TYPE_CHECKING:
@@ -190,13 +190,14 @@ class Realization:
 class ScanPlan:
     """The structural part of the witness scan, fixed by the realization alone.
 
-    Tables are indexed by an outcome's int8 bit pattern (``view(np.uint8)``),
-    so every int8 value has a slot of its own: ``valid`` marks the outcomes
-    of each physical measurement and ``lookups`` gives each class member's
-    value (0 off its parent's outcomes).  Member row k is the first member
-    of class k; the other members follow class by class.  The class choices
-    (one class per cell of a context) run context by context in
-    ``CONTEXTS`` order.
+    Tables are indexed by ``outcome + 128``, so every int8 value has a slot
+    of its own: ``valid`` marks the outcomes of each physical measurement
+    and ``lookups`` gives each class member's value (0 off its parent's
+    outcomes).  Member row k is the first member of class k; the other
+    members follow class by class.  The class choices (one class per cell
+    of a context) run context by context in ``CONTEXTS`` order, and a
+    choice's triple is admissible iff its product is the choice's
+    ``choice_signs`` entry, its context's ``expected_context_sign``.
     """
 
     parents: tuple[str, ...]  # physical measurement ids
@@ -208,7 +209,7 @@ class ScanPlan:
     choices: np.ndarray  # intp[choices, 3]: rows in ``classes``, in context_cells order
     choice_contexts: np.ndarray  # intp[choices]: row in CONTEXTS
     simultaneous: np.ndarray  # bool[choices]
-    admissible: np.ndarray  # bool[contexts, 3, 3, 3], indexed by the +/-1 triple (-1 is slot 2)
+    choice_signs: np.ndarray  # int8[choices]: the product an admissible triple has
     cell_pairs: tuple[tuple[Cell, int, int], ...]  # (cell, class a, class b)
 
     def __post_init__(self) -> None:
@@ -311,12 +312,6 @@ def classes_compatible(
     return bool(parents_a & parents_b)
 
 
-def _slots(outcomes: Iterable[int]) -> np.ndarray:
-    """The table slots of int8 outcomes: their bit patterns read as uint8."""
-    import numpy as np
-    return np.array(list(outcomes), dtype=np.int8).view(np.uint8)
-
-
 def _scan_plan(realization: Realization) -> ScanPlan:
     import numpy as np
     parents = tuple(realization.physicals)
@@ -326,23 +321,20 @@ def _scan_plan(realization: Realization) -> ScanPlan:
     members += [(k, did) for k, cls in enumerate(classes) for did in cls[1:]]
     valid = np.zeros((len(parents), 256), dtype=bool)
     for row, mid in enumerate(parents):
-        valid[row, _slots(realization.physicals[mid].outcomes)] = True
+        valid[row, np.add(realization.physicals[mid].outcomes, 128)] = True
     lookups = np.zeros((len(members), 256), dtype=np.int8)
     for row, (_, did) in enumerate(members):
         outcome_map = realization.derived[did].outcome_map
         if not set(outcome_map.values()) <= {1, -1}:
             raise InternalConsistencyError(f"{did} is not +/-1-valued")
-        lookups[row, _slots(outcome_map)] = list(outcome_map.values())
+        lookups[row, np.add(list(outcome_map), 128)] = list(outcome_map.values())
 
     choices: list[tuple[tuple[str, ...], ...]] = []
     choice_contexts: list[int] = []
-    admissible = np.zeros((len(CONTEXTS), 3, 3, 3), dtype=bool)
     for row, context in enumerate(CONTEXTS):
         options = list(itertools.product(*(cells[cell] for cell in context_cells(context))))
         choices += options
         choice_contexts += [row] * len(options)
-        for triple in admissible_triples(context):
-            admissible[(row, *triple)] = True
     simultaneous = [
         all(classes_compatible(realization, a, b) for a, b in itertools.combinations(choice, 2))
         for choice in choices
@@ -357,7 +349,7 @@ def _scan_plan(realization: Realization) -> ScanPlan:
         np.array([[classes.index(cls) for cls in choice] for choice in choices]),
         np.array(choice_contexts),
         np.array(simultaneous),
-        admissible,
+        np.array([expected_context_sign(CONTEXTS[row]) for row in choice_contexts], dtype=np.int8),
         tuple(
             (cell, classes.index(a), classes.index(b))
             for cell in sorted(cells)

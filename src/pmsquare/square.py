@@ -9,15 +9,17 @@ The grid of operators, ``GRID`` as (left, right) Pauli labels and
 
 Two entries commute exactly when they share a row or a column.  Every row
 and the first two columns multiply to +identity; the third column
-multiplies to -identity.  Each context (row or column) carries a table of
-four common eigenvectors with their eigenvalue triples, the four
-``EigenEntry`` records ``eigentable(context)`` returns; the tables are
-transcribed below as ket patterns, built and verified against the operators
-on first use, so importing this module loads no numpy.
+multiplies to -identity.  A +/-1 triple is admissible in a context (row
+or column) iff its product is the context's sign, ``expected_context_sign``,
+which ``context_operator_product`` checks.  The four admissible
+``value_triples(context)`` are the eigenvalues of a table of common
+eigenvectors, the ``EigenEntry`` records ``eigentable(context)`` returns,
+transcribed below as ket patterns and built and verified against the
+operators on first use, so importing this module loads no numpy.
 
-No +/-1 assignment to the nine cells can agree with some admissible
-eigenvalue triple in all six contexts at once; ``search_assignments``
-establishes this by enumerating all 512 candidates, row-major 9-tuples.
+No +/-1 assignment to the nine cells is admissible in all six contexts
+at once; ``search_assignments`` establishes this by enumerating all 512
+candidates, row-major 9-tuples.
 """
 
 from __future__ import annotations
@@ -87,13 +89,6 @@ def cell_operator(cell: Cell) -> np.ndarray:
 
 
 # --- eigenvector tables ---------------------------------------------------
-#
-# Value triples follow the context's operator order (same order as
-# context_cells).  In every context the four triples are exactly the four
-# sign patterns whose product equals the context's operator-product sign.
-
-_PLUS_TRIPLES = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-_MINUS_TRIPLES = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
 
 #: Each context's four table states, in the order of its value triples: a
 #: label and a product pattern over {0, 1, +, -}, or (a, b, sign) for the
@@ -203,16 +198,11 @@ def eigentable(context: Context) -> tuple[EigenEntry, ...]:
 
 
 def value_triples(context: Context) -> tuple[tuple[int, int, int], ...]:
-    """A context's four value triples in table order, the values ``checked_eigentable`` verifies."""
+    """The four triples of product ``expected_context_sign``, in table order: the eigenvalues."""
     if context not in CONTEXTS:
         raise ValueError(f"unknown context {context!r}")
-    return _MINUS_TRIPLES if expected_context_sign(context) < 0 else _PLUS_TRIPLES
-
-
-@lru_cache(maxsize=None)
-def admissible_triples(context: Context) -> frozenset[tuple[int, int, int]]:
-    """The four value triples a simultaneous measurement of the context can yield."""
-    return frozenset(value_triples(context))
+    sign = expected_context_sign(context)
+    return tuple(t for t in itertools.product((1, -1), repeat=3) if t[0] * t[1] * t[2] == sign)
 
 
 # --- structural checks ----------------------------------------------------
@@ -280,11 +270,11 @@ def search_assignments(
     for context in active:
         if not (isinstance(context, Context) and context in CONTEXTS):
             raise ValueError(f"unknown context {context!r}")
-    checks = [(_slots(context), admissible_triples(context)) for context in active]
+    checks = [(*_slots(context), expected_context_sign(context)) for context in active]
     return [
-        values
-        for values in itertools.product((-1, 1), repeat=9)
-        if all((values[i], values[j], values[k]) in allowed for (i, j, k), allowed in checks)
+        v
+        for v in itertools.product((-1, 1), repeat=9)
+        if all(v[i] * v[j] * v[k] == sign for i, j, k, sign in checks)
     ]
 
 

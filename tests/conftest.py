@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import collections
+import functools
 import math
 
 import numpy as np
 
+from pmsquare import square
 from pmsquare.hvmodels import ch_report, chsh_max_state
-from pmsquare.square import NAMED_STATES
+from pmsquare.square import NAMED_STATES, cell_operator, context_cells
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -30,6 +32,23 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j in range(n):
             out[i, j] = sum(a[i, k] * b[k, j] for k in range(n))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def table_triples(context) -> tuple[tuple[int, int, int], ...]:
+    """A context's value triples read off its table states, not off its sign.
+
+    For each table state v, the rounded real part of <v|op|v> for the
+    context's three cell operators, each checked to be an exact eigenvalue.
+    """
+    ops = [cell_operator(cell) for cell in context_cells(context)]
+    triples = []
+    for _, v in square._table_states()[context]:
+        values = tuple(int(np.rint(np.vdot(v, op @ v).real)) for op in ops)
+        for op, value in zip(ops, values):
+            assert np.max(np.abs(op @ v - value * v)) <= 1e-12
+        triples.append(values)
+    return tuple(triples)
 
 
 def random_states(count: int, seed: int) -> list[np.ndarray]:

@@ -9,11 +9,19 @@ reach is code nothing needs: delete it, or document it as library API.
 A mention in a ``perfbench/`` string or comment is not a read.  Members
 are reported as ``Class.member`` and count as read wherever an attribute
 of their name is read.
+
+The other direction holds too: every name README.md shows in backticks
+that contains ``_`` or starts with a capital letter is bound in
+``src/pmsquare/`` (or is a member of a class defined there), a Python
+builtin, or a ``numpy.random`` name, so the README names nothing that
+is gone.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 import os
 import re
 import subprocess
@@ -120,6 +128,52 @@ def test_every_public_name_is_used_outside_the_tests():
         if name.split(".")[-1] not in used and not _mentioned(name.split(".")[-1], readme)
     ]
     assert not unused, f"public names only the tests use: {unused}"
+
+
+def _bound_names(source: str) -> set[str]:
+    """Every name a module binds: definitions, assignments, fields, arguments and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[0])
+    return names
+
+
+def _unknown_readme_names(readme: str, known: set[str]) -> list[str]:
+    """Backticked names (dotted, or called as ``name(...)``) with ``_`` or a capital, not known."""
+    unknown = []
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        name = re.fullmatch(r"([A-Za-z_][\w.]*)(?:\(.*\))?", span)
+        for part in name.group(1).split(".") if name else ():
+            if ("_" in part or part[:1].isupper()) and part not in known:
+                unknown.append(part)
+    return unknown
+
+
+def test_every_readme_name_exists():
+    import numpy.random
+
+    sources = _package_sources()
+    known = set(dir(builtins)) | set(dir(numpy.random))
+    for module, source in sources.items():
+        known |= _bound_names(source)
+        if module != "__main__":
+            for cls in vars(importlib.import_module(f"pmsquare.{module}")).values():
+                if isinstance(cls, type) and cls.__module__ == f"pmsquare.{module}":
+                    known |= set(dir(cls))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert not _unknown_readme_names(readme, known)
+    # a name deleted from the package but still in the README is caught
+    text = "`value_triples(context)`, `admissible_triples`, `Realization.scan_plan`, `--json`"
+    assert _unknown_readme_names(text, known - {"admissible_triples"}) == ["admissible_triples"]
 
 
 def test_a_definition_does_not_count_as_its_own_use():

@@ -479,6 +479,9 @@ _KNOWN_NAMES = (
             f"'nope' is neither a known state name nor an existing file; {_KNOWN_NAMES}",
         ),
         ("ch --state named.json", "state file 'named.json': 'nope' is not a known state name"),
+        ("ch --state true.json", "state file 'true.json': 'name' must be a JSON string"),
+        ("ch --state null.json", "state file 'null.json': 'name' must be a JSON string"),
+        ("ch --state deep.json", "state file 'deep.json': 'name' must be a JSON string"),
         (
             "ch --state missing.json",
             f"'missing.json' is neither a known state name nor an existing file; {_KNOWN_NAMES}",
@@ -493,6 +496,11 @@ def test_state_and_constraint_errors_are_one_exact_line(
     # the named-state catalogue is built on first use; its error lines stay as they were
     monkeypatch.chdir(tmp_path)
     (tmp_path / "named.json").write_text('{"name": "nope"}', encoding="utf-8")
+    # a name that is not a JSON string is refused as such, not printed as one
+    (tmp_path / "true.json").write_text('{"name": true}', encoding="utf-8")
+    (tmp_path / "null.json").write_text('{"name": null}', encoding="utf-8")
+    deep = "[" * 900 + "]" * 900
+    (tmp_path / "deep.json").write_text(f'{{"name": {deep}}}', encoding="utf-8")
     assert main(line.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

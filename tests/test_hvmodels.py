@@ -47,13 +47,14 @@ from pmsquare.realizations import (
     cell_classes,
     translate_outcomes_inverse,
 )
-from pmsquare.square import CONTEXTS, NAMED_STATES, Context, admissible_triples, context_cells
+from pmsquare.square import CONTEXTS, NAMED_STATES, Context, context_cells
 
 from conftest import (
     boundary_crossing,
     boundary_point,
     boundary_slope,
     random_states,
+    table_triples,
     witness_rows,
 )
 
@@ -743,7 +744,7 @@ def test_witness_scan_matches_a_per_state_loop():
                 for choice in itertools.product(*options):
                     for i, s in positive:
                         triple = tuple(respond(cls, s.outcomes) for cls in choice)
-                        if triple not in admissible_triples(context):
+                        if triple not in table_triples(context):
                             names = tuple(cls[0] for cls in choice)
                             expected_context.append((context, names, i, triple, s.probability))
             found = witness_rows(model, report.context_blocks + report.simultaneous_blocks)

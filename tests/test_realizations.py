@@ -22,9 +22,9 @@ from pmsquare.realizations import (
     translate_outcomes,
     translate_outcomes_inverse,
 )
-from pmsquare.square import CONTEXTS, admissible_triples, cell_operator, context_cells
+from pmsquare.square import CONTEXTS, cell_operator, context_cells
 
-from conftest import random_states
+from conftest import random_states, table_triples
 
 
 #: The 16 consistent pair-outcome tuples, one per one-wing value tuple, in order.
@@ -383,7 +383,7 @@ def test_exactly_sixteen_consistent_tuples_exist():
 
 _PLAN_ARRAYS = (
     "valid", "member_parents", "member_classes", "lookups",
-    "choices", "choice_contexts", "simultaneous", "admissible",
+    "choices", "choice_contexts", "simultaneous", "choice_signs",
 )
 
 
@@ -424,9 +424,11 @@ def test_scan_plan_follows_the_class_structure(index):
         assert simultaneous == all(
             classes_compatible(r, a, b) for a, b in itertools.combinations(choice, 2)
         )
-    for row, context in enumerate(CONTEXTS):
+    assert plan.choice_signs.dtype == np.int8
+    for sign, row in zip(plan.choice_signs, plan.choice_contexts):
         for triple in itertools.product((1, -1), repeat=3):
-            assert plan.admissible[(row, *triple)] == (triple in admissible_triples(context))
+            admissible = triple in table_triples(CONTEXTS[row])
+            assert (triple[0] * triple[1] * triple[2] == sign) == admissible
     members = [cls[0] for cls in plan.classes] + [d for cls in plan.classes for d in cls[1:]]
     assert len(plan.lookups) == len(members)
     for row, did in enumerate(members):
@@ -435,7 +437,7 @@ def test_scan_plan_follows_the_class_structure(index):
         assert plan.parents[plan.member_parents[row]] == derived.parent
         assert did in plan.classes[plan.member_classes[row]]
         for slot in range(256):
-            outcome = int(np.uint8(slot).view(np.int8))
+            outcome = slot - 128
             assert plan.valid[plan.member_parents[row], slot] == (outcome in parent.outcomes)
             assert plan.lookups[row, slot] == derived.outcome_map.get(outcome, 0)
     assert plan.cell_pairs == tuple(

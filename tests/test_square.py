@@ -12,7 +12,6 @@ from pmsquare.square import (
     NAMED_STATES,
     Context,
     EigenEntry,
-    admissible_triples,
     cell_operator,
     commutation_relation,
     context_cells,
@@ -26,7 +25,7 @@ from pmsquare.square import (
     verify_eigentable,
 )
 
-from conftest import matmul_oracle
+from conftest import matmul_oracle, table_triples
 
 ROWS = tuple(Context("row", i) for i in range(3))
 COLS = tuple(Context("column", i) for i in range(3))
@@ -116,23 +115,15 @@ def test_admissible_triples_are_exactly_the_sign_patterns():
         by_product = {
             t for t in itertools.product((-1, 1), repeat=3) if t[0] * t[1] * t[2] == sign
         }
-        assert admissible_triples(context) == by_product
-        assert len(admissible_triples(context)) == 4
+        assert set(value_triples(context)) == by_product
+        assert len(value_triples(context)) == 4
 
 
 @pytest.mark.parametrize("context", CONTEXTS, ids=lambda c: c.name)
 def test_the_value_triples_are_the_eigenvalues_of_the_table_states(context):
-    # contradiction and realization read the triple constants and never the
-    # vectors, so the constants must be the eigenvalues the table states carry
-    ops = [cell_operator(cell) for cell in context_cells(context)]
-    carried = []
-    for _, v in square._table_states()[context]:
-        values = tuple(int(np.rint(np.vdot(v, op @ v).real)) for op in ops)
-        for op, value in zip(ops, values):
-            assert np.max(np.abs(op @ v - value * v)) <= 1e-12
-        carried.append(values)
-    assert value_triples(context) == tuple(carried)
-    assert admissible_triples(context) == frozenset(carried)
+    # contradiction and realization read the value triples and never the
+    # vectors, so the triples must be the eigenvalues the table states carry
+    assert value_triples(context) == table_triples(context)
 
 
 def test_verify_eigentable_rejects_corrupt_values():
@@ -224,16 +215,16 @@ def test_context_products_against_manual_oracle():
 
 
 def _oracle_masks():
-    """Survivor sets per context from the product-sign characterization."""
+    """Survivor sets per context from the triples its table states carry."""
     masks = {}
     assignments = list(itertools.product((-1, 1), repeat=9))
     for context in CONTEXTS:
-        sign = expected_context_sign(context)
+        allowed = set(table_triples(context))
         positions = [cell[0] * 3 + cell[1] for cell in context_cells(context)]
         masks[context] = {
             i
             for i, values in enumerate(assignments)
-            if values[positions[0]] * values[positions[1]] * values[positions[2]] == sign
+            if tuple(values[p] for p in positions) in allowed
         }
     return assignments, masks
 
