@@ -165,13 +165,23 @@ class HiddenState(NamedTuple):
     probability: float
 
 
+class _GuideTable(NamedTuple):
+    """A CDF and its guide table as read-only arrays: what ``_tally`` reads."""
+
+    cumulative: np.ndarray  # float64[states]
+    straddles: np.ndarray  # bool[G]: the buckets whose two edges differ in state
+    run_starts: np.ndarray  # intp: the first bucket of each run with one lower-edge state
+    run_states: np.ndarray  # intp: that state, increasing
+
+
 @dataclass(frozen=True, eq=False)
 class HVModel:
     """A hidden-variable model as a read-only outcome table and weight vector.
 
     Hidden state s assigns ``outcomes[s, m]`` to ``measurement_ids[m]`` and
     has weight ``probabilities[s]``; models 2/3 keep their joint-distribution
-    solve in ``fine``.
+    solve in ``fine``.  The tables that tallies and sampling read (slot index,
+    CDF, guide table) are built from these on first use and kept read-only.
     """
 
     realization_index: int
@@ -207,17 +217,57 @@ class HVModel:
         """Every hidden state's outcome of one physical measurement."""
         return self.outcomes[:, self.measurement_ids.index(measurement_id)]
 
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """The read-only ``_slot_index`` of the outcome table, built on first use."""
+        slots = _slot_index(self.outcomes)
+        slots.setflags(write=False)
+        return slots
 
-def _slot_totals(outcomes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Slot [m, o + 128] sums ``weights[s]`` over the rows s with ``outcomes[s, m] == o``.
+    @cached_property
+    def _guide(self) -> _GuideTable:
+        """The normalized CDF of the weights and its guide table, built on the first sample.
 
-    One ``np.add.at`` pass in state order, so every slot adds its weights
-    as a loop over the states does; int64 counts stay exact.
+        Raises ValueError if no weight is positive, or if a state a draw may
+        land on holds an outcome its measurement does not have, as no count
+        would show that state's shots.  ``cached_property`` keeps no
+        exception, so every sample of such a model raises.
+        """
+        probabilities = np.maximum(self.probabilities, 0.0)
+        total = probabilities.sum()
+        if not total > 0.0:
+            raise ValueError("the model has no positive weight to sample from")
+        cumulative = np.cumsum(probabilities / total)
+        # the states with a positive CDF step, and the last one for draws past the end
+        landed = np.diff(cumulative, prepend=0.0) > 0.0
+        landed[-1] |= cumulative[-1] < 1.0
+        plan = build_realization(self.realization_index).scan_plan
+        known = plan.valid[[plan.parents.index(mid) for mid in self.measurement_ids]]
+        foreign = landed[:, None] & ~known.ravel()[self._slots]
+        if foreign.any():
+            state, m = np.argwhere(foreign)[0]
+            raise ValueError(
+                f"hidden state {state}: {self.outcomes[state, m]} is not an outcome "
+                f"of {self.measurement_ids[m]}"
+            )
+        return _guide_table(cumulative)
+
+
+def _slot_index(outcomes: np.ndarray) -> np.ndarray:
+    """The slot ``outcomes[s, m] + 128 + 256 * m`` of every entry, for ``_slot_totals``."""
+    return outcomes.astype(np.intp) + 128 + 256 * np.arange(outcomes.shape[1])
+
+
+def _slot_totals(slots: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Slot [m, o + 128] sums ``weights[s]`` over the rows s with outcome o in column m.
+
+    ``slots`` is the ``_slot_index`` of the outcome table.  One
+    ``np.add.at`` pass in state order, so every slot adds its weights as a
+    loop over the states does; int64 counts stay exact.
     """
-    columns = outcomes.shape[1]
-    slots = outcomes.astype(np.intp) + 128 + 256 * np.arange(columns)
+    columns = slots.shape[1]
     totals = np.zeros(columns * 256, dtype=weights.dtype)
-    np.add.at(totals, slots, weights[:, None])
+    np.add.at(totals, slots.ravel(), np.repeat(weights, columns))
     return totals.reshape(columns, 256)
 
 
@@ -391,18 +441,26 @@ def build_model23(state: np.ndarray, realization_index: int) -> HVModel:
 # --- model verification -----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _projector_stack(realization_index: int, measurement_ids: tuple[str, ...]) -> np.ndarray:
+    """The projectors of the measurements, in order, as one read-only stack."""
+    physicals = build_realization(realization_index).physicals
+    stack = np.concatenate([physicals[mid].projectors for mid in measurement_ids])
+    stack.setflags(write=False)
+    return stack
+
+
 def _born_distributions(model: HVModel, state: np.ndarray) -> dict[str, dict[int, float]]:
     """Born distribution of each of the model's measurements, from one checked kernel call.
 
     The projector expectations are independent of the eigenvector overlaps
     ``build_model1``/``build_model23`` weight the hidden states by.
     """
+    ids = tuple(model.measurement_ids)
     physicals = build_realization(model.realization_index).physicals
-    measurements = [physicals[mid] for mid in model.measurement_ids]
-    stack = np.concatenate([m.projectors for m in measurements])
-    values = iter(expectations(state, stack).tolist())
+    values = iter(expectations(state, _projector_stack(model.realization_index, ids)).tolist())
     # zip stops at the end of a measurement's outcomes before it takes another value
-    return {m.id: dict(zip(m.outcomes, values)) for m in measurements}
+    return {mid: dict(zip(physicals[mid].outcomes, values)) for mid in ids}
 
 
 class StatisticsReport(NamedTuple):
@@ -427,7 +485,7 @@ def reproduce_statistics(model: HVModel, state: np.ndarray) -> StatisticsReport:
     """
     state = ket(state)
     tolerance = 1e-12 if model.realization_index == 1 else 1e-9
-    totals = _slot_totals(model.outcomes, model.probabilities).tolist()
+    totals = _slot_totals(model._slots, model.probabilities).tolist()
     deviations: dict[str, float] = {}
     for row, (mid, born) in zip(totals, _born_distributions(model, state).items()):
         deviations[mid] = max(abs(row[outcome + 128] - p) for outcome, p in born.items())
@@ -437,7 +495,7 @@ def reproduce_statistics(model: HVModel, state: np.ndarray) -> StatisticsReport:
         # other wing value already shows as that wing's one-wing deviation
         settings = [_SETTING_WINGS[pair] for pair in PAIR_AXES]
         keys = np.stack([2 * model.column(a) + model.column(b) for a, b in settings], axis=1)
-        joints = _slot_totals(keys, model.probabilities).tolist()
+        joints = _slot_totals(_slot_index(keys), model.probabilities).tolist()
         born_joints = quantum_pair_joints(state).values()
         for (id_a, id_b), row, born in zip(settings, joints, born_joints):
             pair_deviations[f"{id_a},{id_b}"] = max(
@@ -617,8 +675,25 @@ def _guide_bounds(cumulative: np.ndarray) -> np.ndarray:
     return np.minimum(at_or_below, len(cumulative) - 1)
 
 
-def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """Count Philox words per state of the CDF ``cumulative``.
+def _guide_table(cumulative: np.ndarray) -> _GuideTable:
+    """A read-only copy of the CDF ``cumulative`` with its guide table.
+
+    Bucket k straddles a CDF edge iff the states of its two edges
+    (``_guide_bounds``) differ; otherwise all its variates belong to the
+    state of its lower edge.  That state never decreases with k, so the
+    buckets are kept as runs of one lower-edge state.
+    """
+    bounds = _guide_bounds(cumulative)
+    lo = bounds[:-1]
+    starts = np.flatnonzero(np.diff(lo, prepend=-1))
+    table = _GuideTable(np.array(cumulative), lo != bounds[1:], starts, lo[starts])
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _tally(guide: _GuideTable, chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Count Philox words per state of the CDF ``guide.cumulative``.
 
     Each uint64 word w stands for the variate ``u = (w >> 11) * 2**-53``,
     the double ``Generator.random`` makes of it.  The counts equal
@@ -629,16 +704,15 @@ def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
     every state index of a variate in that bucket lies between the indices
     of the bucket's two edges, so only words in buckets that straddle a CDF
     edge are turned into variates and searched, and the rest are tallied
-    per bucket.  The bucket bounds are running counts of ``ceil(cumulative
-    * G)`` (``_guide_bounds``), so no edge is searched for.  The straddling
+    per bucket and summed per run of buckets with one lower-edge state
+    (``_guide_table``, made once per CDF).  The straddling
     variates are sorted before the search, which then walks the CDF in
     order; counts do not depend on the order.  Each chunk's words, bucket
     indices and straddle mask are dropped before the next chunk is drawn,
     so a call holds one chunk's working set at a time.
     """
+    cumulative, straddles, run_starts, run_states = guide
     n = len(cumulative)
-    bounds = _guide_bounds(cumulative)
-    lo, straddles = bounds[:-1], bounds[:-1] != bounds[1:]
     bucket_counts = np.zeros(_GUIDE_BUCKETS, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
     for words in chunks:
@@ -649,7 +723,8 @@ def _tally(cumulative: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
         draws.sort()
         searched = np.searchsorted(cumulative, draws, side="right")
         counts += np.bincount(np.minimum(searched, n - 1), minlength=n)
-    np.add.at(counts, lo[~straddles], bucket_counts[~straddles])
+    bucket_counts[straddles] = 0  # their words were searched
+    counts[run_states] += np.add.reduceat(bucket_counts, run_starts)
     return counts
 
 
@@ -667,30 +742,31 @@ def sample_model(model: HVModel, state: np.ndarray, shots: int, seed: int) -> Sa
     weights: the top 12 bits choose the bucket, the buckets' state bounds
     come from counts of ``ceil(cumulative * 4096)``, and only words in
     buckets that straddle a CDF edge become variates, sorted before they
-    are searched.  ``_tally`` holds one chunk's words, bucket indices and
-    straddle mask at a time, so a call peaks at about 0.4 MB for any
-    ``shots``.  The Born distributions of all measurements come from one
-    checked ``expectations`` call.  The pass flag checks every
-    total-variation distance against 5/sqrt(shots).  ``shots`` must be a
-    positive int and ``seed`` an int in [0, 2**64); a bool is neither.
+    are searched.  The model builds its CDF, guide table and slot index on
+    its first sample and keeps them read-only; the projector stack of its
+    measurements is cached per realization and ids.  ``_tally`` holds one
+    chunk's words, bucket indices and straddle mask at a time, so once the
+    tables are built a call peaks at about 0.34 MB for any ``shots``.  The
+    Born distributions of all measurements come from one checked
+    ``expectations`` call.  The pass flag checks every total-variation
+    distance against 5/sqrt(shots).  ``shots`` must be a positive int and
+    ``seed`` an int in [0, 2**64); a bool is neither.  A model with no
+    positive weight, or with a state a draw may land on that holds an
+    outcome its measurement does not have, raises ValueError.
     """
     if type(shots) is not int or shots <= 0:
         raise ValueError(f"shots must be a positive int, got {shots!r}")
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
     state = ket(state)
-    probabilities = np.maximum(model.probabilities, 0.0)
-    total = probabilities.sum()
-    if not total > 0.0:
-        raise ValueError("the model has no positive weight to sample from")
-    cumulative = np.cumsum(probabilities / total)
+    guide = model._guide  # raises before any word is drawn
     bit_generator = np.random.Philox(key=np.uint64(seed))
     chunk = _SAMPLE_CHUNK
     state_counts = _tally(
-        cumulative,
+        guide,
         (bit_generator.random_raw(min(chunk, shots - start)) for start in range(0, shots, chunk)),
     )
-    totals = _slot_totals(model.outcomes, state_counts)
+    totals = _slot_totals(model._slots, state_counts)
 
     tv_bound = 5.0 / math.sqrt(shots)
     measurements: dict[str, MeasurementSample] = {}

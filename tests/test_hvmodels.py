@@ -19,9 +19,12 @@ from pmsquare.hvmodels import (
     _MARGINALIZATION,
     _SAMPLE_CHUNK,
     _guide_bounds,
+    _guide_table,
     _outcome_table,
     _pair_projector,
     _pair_projectors,
+    _projector_stack,
+    _slot_index,
     _slot_totals,
     _tally,
     PAIR_AXES,
@@ -179,7 +182,8 @@ def _crossings():
 
 
 _ORACLE_STATES = st.one_of(
-    st.sampled_from([*NAMED_STATES.values(), chsh_max_state()]),
+    # deferred, so a fault in chsh_max_state fails the tests that draw, not the collection
+    st.deferred(lambda: st.sampled_from([*NAMED_STATES.values(), chsh_max_state()])),
     st.integers(0, 2**32 - 1).map(lambda seed: random_states(1, seed)[0]),
     st.tuples(st.sampled_from((0, 1)), st.floats(-1e-6, 1e-6)).map(
         lambda point: boundary_point(_crossings()[point[0]] + point[1])
@@ -661,13 +665,14 @@ def test_states_view_and_marginals_match_a_per_state_loop():
             assert [list(s.outcomes.values()) for s in model.states] == model.outcomes.tolist()
             assert [s.probability for s in model.states] == model.probabilities.tolist()
             ids = model.measurement_ids
-            totals = _slot_totals(model.outcomes, model.probabilities).tolist()
+            totals = _slot_totals(model._slots, model.probabilities).tolist()
             for mid, row in zip(ids, totals):
                 assert row == _slot_list(_loop_marginal(model, mid))
             # one combined pair key, as reproduce_statistics forms model 3's pair joints
             keys = (2 * model.column(ids[0]) + model.column(ids[-1]))[:, None]
             pair = _loop_tally(model, ids[0], ids[-1], key=lambda ab: 2 * ab[0] + ab[1])
-            assert _slot_totals(keys, model.probabilities).tolist() == [_slot_list(pair)]
+            pair_totals = _slot_totals(_slot_index(keys), model.probabilities).tolist()
+            assert pair_totals == [_slot_list(pair)]
             stats = reproduce_statistics(model, state)
             assert stats.probability_sum == sum(s.probability for s in model.states)
 
@@ -699,14 +704,14 @@ def test_property_code_tally_matches_the_per_state_loop(rows):
     wrapped = lambda ab: (2 * ab[0] + ab[1] + 128) % 256 - 128  # noqa: E731
     for weights, zero in ((model.probabilities, 0.0), (counts, 0)):
         loop_weights = weights.tolist()
-        totals = _slot_totals(model.outcomes, weights).tolist()
+        totals = _slot_totals(model._slots, weights).tolist()
         for mid, row in zip(ids, totals):
             assert repr(row) == repr(_slot_list(_loop_marginal(model, mid, loop_weights), zero))
         # combined pair keys, whose int8 arithmetic wraps outside -128..127
         for id_a, id_b in itertools.product(ids, repeat=2):
             keys = (2 * model.column(id_a) + model.column(id_b))[:, None]
             loop = _loop_tally(model, id_a, id_b, weights=loop_weights, key=wrapped)
-            [row] = _slot_totals(keys, weights).tolist()
+            [row] = _slot_totals(_slot_index(keys), weights).tolist()
             assert repr(row) == repr(_slot_list(loop, zero))
 
 
@@ -968,8 +973,81 @@ def test_sampling_fails_a_model_one_and_a_half_bounds_off():
 def test_sampling_refuses_a_model_with_no_positive_weight(weights):
     model = build_model1(PSI1)
     empty = HVModel(1, model.measurement_ids, model.outcomes, weights)
-    with pytest.raises(ValueError, match="no positive weight"):
-        sample_model(empty, PSI1, 100, seed=0)
+    for _ in range(2):  # nothing is cached, so the second call raises too
+        with pytest.raises(ValueError, match="no positive weight"):
+            sample_model(empty, PSI1, 100, seed=0)
+
+
+def test_sampling_refuses_an_outcome_its_measurement_does_not_have():
+    # psi1's model 1 with Lxx outcome 1 read as 5 used to return Lxx counts
+    # summing to 7521 of 10000 shots: the shots of those states had no slot
+    model = build_model1(PSI1)
+    outcomes = model.outcomes.copy()
+    outcomes[outcomes[:, 1] == 1, 1] = 5
+    broken = HVModel(1, model.measurement_ids, outcomes, model.probabilities)
+    message = r"^hidden state 0: 5 is not an outcome of Lxx$"
+    with pytest.raises(ValueError, match=message):
+        violation_witnesses(broken, build_realization(1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            sample_model(broken, PSI1, 10_000, 1)
+
+
+def test_sampling_checks_the_outcomes_of_the_states_a_draw_may_land_on():
+    # a zero-weight state inside the CDF is never drawn; the last state is
+    # drawn by any variate at or past the CDF's end, here 1 - 2**-53
+    model = build_model1(PSI1)
+    row = int(np.flatnonzero(model.probabilities == 0.0)[0])
+    outcomes = model.outcomes.copy()
+    outcomes[row, 2] = 5
+    unused = HVModel(1, model.measurement_ids, outcomes, model.probabilities)
+    assert sample_model(unused, PSI1, 10_000, 1) == sample_model(model, PSI1, 10_000, 1)
+    pinned = build_model1(NAMED_STATES["psiPP1"])
+    weights = pinned.probabilities.copy()
+    weights[-1] = 0.0
+    outcomes = pinned.outcomes.copy()
+    outcomes[-1, 2] = 5
+    last = HVModel(1, pinned.measurement_ids, outcomes, weights)
+    assert np.cumsum(weights / weights.sum())[-1] < 1.0
+    with pytest.raises(ValueError, match=r"^hidden state 63: 5 is not an outcome of B$"):
+        sample_model(last, NAMED_STATES["psiPP1"], 10, 1)
+
+
+def test_a_model_builds_its_sampling_tables_once(monkeypatch):
+    calls = []
+
+    def count(name):
+        original = getattr(hvmodels, name)
+        monkeypatch.setattr(hvmodels, name, lambda array: calls.append(name) or original(array))
+
+    count("_guide_bounds")
+    count("_slot_index")
+    model = build_model1(PSI1)
+    first = sample_model(model, PSI1, 1_000, seed=3)
+    assert sorted(calls) == ["_guide_bounds", "_slot_index"]
+    stacks = _projector_stack.cache_info().misses
+    assert sample_model(model, PSI1, 1_000, seed=3) == first
+    assert sorted(calls) == ["_guide_bounds", "_slot_index"]
+    assert _projector_stack.cache_info().misses == stacks
+    # a copy is a new model with its own tables
+    assert sample_model(dataclasses.replace(model), PSI1, 1_000, seed=3) == first
+    assert sorted(calls) == 2 * ["_guide_bounds"] + 2 * ["_slot_index"]
+
+
+def test_sampling_tables_and_the_born_stack_are_read_only():
+    state = random_states(1, seed=79)[0]
+    for model in _models_for(state):
+        sample_model(model, state, 100, seed=1)
+        ids = model.measurement_ids
+        stack = _projector_stack(model.realization_index, ids)
+        physicals = build_realization(model.realization_index).physicals
+        expected = np.concatenate([physicals[mid].projectors for mid in ids])
+        assert (stack.dtype, stack.shape) == (expected.dtype, expected.shape)
+        assert stack.tobytes() == expected.tobytes()
+        assert _projector_stack(model.realization_index, ids) is stack
+        for array in (*model._guide, model._slots, stack):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
 
 
 def test_sampling_point_mass():
@@ -1054,7 +1132,9 @@ def _cdf_and_words(draw):
 def test_property_guide_tally_matches_searchsorted(case, chunk):
     cumulative, words = case
     chunks = [words[i : i + chunk] for i in range(0, len(words), chunk)]
-    assert np.array_equal(_tally(cumulative, chunks), _reference_tally(cumulative, _variates(words)))
+    assert np.array_equal(
+        _tally(_guide_table(cumulative), chunks), _reference_tally(cumulative, _variates(words))
+    )
 
 
 _ONE_ULP = st.sampled_from(
@@ -1103,7 +1183,7 @@ def test_guide_tally_matches_searchsorted_on_model_weights():
             words = np.random.Philox(key=np.uint64(5)).random_raw(20_000)
             draws = np.random.Generator(np.random.Philox(key=np.uint64(5))).random(20_000)
             assert np.array_equal(
-                _tally(cumulative, [words]), _reference_tally(cumulative, draws)
+                _tally(_guide_table(cumulative), [words]), _reference_tally(cumulative, draws)
             )
 
 
@@ -1145,8 +1225,9 @@ def test_sampling_shards_at_a_multiple_of_four_add_up_to_one_run():
     for model in models:
         probabilities = np.maximum(model.probabilities, 0.0)
         cumulative = np.cumsum(probabilities / probabilities.sum())
-        first = _tally(cumulative, [stream(0).random_raw(offset)])
-        second = _tally(cumulative, [stream(offset // 4).random_raw(shots - offset)])
+        guide = _guide_table(cumulative)
+        first = _tally(guide, [stream(0).random_raw(offset)])
+        second = _tally(guide, [stream(offset // 4).random_raw(shots - offset)])
         report = sample_model(model, state, shots, seed)
         for mid, sample in report.measurements.items():
             column = model.column(mid)
@@ -1178,14 +1259,15 @@ def test_sampling_memory_does_not_grow_with_the_shots():
 
 def test_sampling_holds_one_chunk_of_words_at_a_time():
     # the working set is one chunk's words, bucket indices and straddle
-    # mask: a call peaks at about 0.38 MB, while keeping one more chunk's
-    # words and buckets alive takes it past 0.46 MB
+    # mask: once the model's tables are built a call peaks at about 0.34 MB,
+    # while keeping one more chunk's words and buckets alive takes it past
+    # 0.43 MB
     state = random_states(1, seed=79)[0]
     models = _models_for(state)
     assert len(models) == 3
     for model in models:
         _sampling_peak_bytes(model, state, 2 * _SAMPLE_CHUNK + 1)  # warm up
-        assert _sampling_peak_bytes(model, state, 2_000_000) <= 448 * 1024
+        assert _sampling_peak_bytes(model, state, 2_000_000) <= 384 * 1024
 
 
 def test_sampling_reports_do_not_depend_on_the_chunk_size(monkeypatch):

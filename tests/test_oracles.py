@@ -16,6 +16,7 @@ the Farkas certificate the simplex returns on refusal is the violated
 CHSH inequality itself, scaled.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -32,7 +33,11 @@ from conftest import boundary_crossing, boundary_point, boundary_slope, random_s
 #: The sign of each context's product in chi: -1 on the last column only.
 _CHI_SIGNS = np.array([-1 if context == Context("column", 2) else 1 for context in CONTEXTS])
 
-_STATES = [*NAMED_STATES.values(), chsh_max_state(), *random_states(40, seed=2008)]
+
+@functools.cache
+def _states():
+    """The states every oracle runs on, built on first use so a fault fails only those tests."""
+    return [*NAMED_STATES.values(), chsh_max_state(), *random_states(40, seed=2008)]
 
 
 def _chi_values(model, realization):
@@ -63,7 +68,7 @@ def test_born_chi_is_six_on_every_state():
             for context in CONTEXTS
         ]
     )
-    for state in _STATES:
+    for state in _states():
         assert abs(_CHI_SIGNS @ expectations(state, products) - 6.0) <= 1e-12
 
 
@@ -71,7 +76,7 @@ def test_born_chi_is_six_on_every_state():
 def test_every_model_keeps_the_peres_mermin_bound(index):
     realization = build_realization(index)
     built = 0
-    for state in _STATES:
+    for state in _states():
         try:
             model = build_model1(state) if index == 1 else build_model23(state, index)
         except InfeasibleModelError:

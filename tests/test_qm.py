@@ -204,7 +204,7 @@ def _kernel_ops():
 
 _KERNEL_OPS = st.deferred(lambda: st.sampled_from(_kernel_ops()))
 _KERNEL_STATES = st.one_of(
-    st.sampled_from([*NAMED_STATES.values(), chsh_max_state()]),
+    st.deferred(lambda: st.sampled_from([*NAMED_STATES.values(), chsh_max_state()])),
     st.integers(0, 2**32 - 1).map(lambda seed: random_states(1, seed)[0]),
 )
 
